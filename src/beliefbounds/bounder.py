@@ -298,7 +298,7 @@ def propagate_marginal_bounds(
                 except BlanketLpInfeasible:
                     lo, hi = 0.0, 1.0
                 new_lo = min(max(lows[v][val], lo), highs[v][val])
-                new_hi = max(min(highs[v][val], hi), lows[v][val])
+                new_hi = max(min(highs[v][val], hi), new_lo)
                 delta = max(delta, new_lo - lows[v][val], highs[v][val] - new_hi)
                 lows[v][val] = new_lo
                 highs[v][val] = new_hi

@@ -80,6 +80,25 @@ def random_tree_network(rng: np.random.Generator, n: int, max_card: int = 3):
     return BayesianNetwork(variables=variables, cpts=tuple(cpts))
 
 
+def grid_network(rows: int, cols: int, *key: int) -> BayesianNetwork:
+    """Seeded binary grid: node (i, j) = i * cols + j has parents (i-1, j)
+    and (i, j-1). CPT rows are Dirichlet(0.3, 0.3), floored at 1e-6 and
+    renormalised, drawn from a generator seeded with (*key, rows, cols)."""
+    rng = np.random.default_rng([*key, rows, cols])
+    n = rows * cols
+    cpts = []
+    for i in range(rows):
+        for j in range(cols):
+            ps = tuple(p for p in ((i - 1) * cols + j if i else None,
+                                   i * cols + j - 1 if j else None) if p is not None)
+            flat = np.maximum(rng.dirichlet([0.3, 0.3], size=2 ** len(ps)), 1e-6)
+            flat /= flat.sum(axis=1, keepdims=True)
+            cpts.append(Cpt(child=i * cols + j, parents=ps,
+                            table=flat.reshape((2,) * (len(ps) + 1))))
+    variables = tuple(Variable(v, f"v{v}", 2) for v in range(n))
+    return BayesianNetwork(variables=variables, cpts=tuple(cpts))
+
+
 def random_evidence(
     rng: np.random.Generator, bn: BayesianNetwork, max_obs: int = 2
 ) -> dict[int, int]:

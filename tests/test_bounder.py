@@ -23,6 +23,7 @@ from beliefbounds.model import BayesianNetwork, Cpt, Variable
 from conftest import (
     brute_event_mass,
     brute_posteriors,
+    grid_network,
     lp_basis_enumeration,
     random_evidence,
     random_lp,
@@ -173,6 +174,26 @@ class TestPropagation:
                 for v in range(bn.n):
                     assert np.all(cur.lows[v] >= prev.lows[v] - 1e-15)
                     assert np.all(cur.highs[v] <= prev.highs[v] + 1e-15)
+                prev = cur
+
+    def test_intervals_stay_ordered_and_lows_never_fall(self):
+        # When the greedy min came out an ulp above the greedy max, the upper
+        # end was clamped against the old lower end and crossed the new one;
+        # the next sweep then lowered L. The grid case crossed on variable 0
+        # at max_iters=7.
+        cases = [(grid_network(4, 5, 30, 0), {10: 0, 12: 0, 15: 1, 6: 1, 8: 1, 1: 0})]
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            bn = random_network(rng, n=int(rng.integers(5, 10)), max_card=2)
+            cases.append((bn, random_evidence(rng, bn, max_obs=3)))
+        for bn, e in cases:
+            prev = None
+            for iters in range(1, 10):
+                cur = propagate_marginal_bounds(bn, e, max_iters=iters, tol=0.0)
+                for v in range(bn.n):
+                    assert np.all(cur.lows[v] <= cur.highs[v]), (v, iters)
+                    if prev is not None:
+                        assert np.all(cur.lows[v] >= prev.lows[v]), (v, iters)
                 prev = cur
 
     def test_tiny_k_skips_to_vacuous(self, rng):
