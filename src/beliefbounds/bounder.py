@@ -28,8 +28,8 @@ from .model import (
     BayesianNetwork,
     Evidence,
     PartialAssignment,
+    ancestors_of,
     merge_assignment,
-    relevant_keep_set,
 )
 
 DEFAULT_K = 2**10
@@ -109,48 +109,91 @@ def solve_blanket_lp_exact(lp: BlanketLp, sense: str) -> float:
     return float(res.fun) if sense == "min" else float(-res.fun)
 
 
-def _single_member_opt(coeffs, col, lows, highs, maximize: bool):
-    """Exact optimum of the relaxation keeping only one member's constraints.
+def _empty_groups(col: np.ndarray, d: int) -> np.ndarray | None:
+    """Mask of the values no boundary configuration takes (None if none)."""
+    empty = np.bincount(col, minlength=d) == 0
+    return empty if empty.any() else None
 
-    Within a value group all mass may sit on the best configuration, so the
-    relaxation reduces to a fractional allocation over groups: mandatory
-    lower-bound mass first, then the remainder poured greedily under the
-    upper caps. Returns None when even this single-member system is
-    infeasible (then the full LP is infeasible too).
+
+def _member_table(coeffs: np.ndarray, col: np.ndarray, d: int, empty, maximize: bool):
+    """Greedy table of one member for one coefficient vector and sense.
+
+    Within a value group all mass may sit on the best configuration, so only
+    the per-group best coefficient matters (0 for empty groups). Returns that
+    array and the (group, best) steps in stable pouring order, best first,
+    empty groups left out. Depends only on the boundary structure.
     """
-    d = len(lows)
-    if np.any(highs < lows - 1e-15):
-        return None
-    fill = -np.inf if maximize else np.inf
-    best = np.full(d, fill)
+    best = np.full(d, -np.inf if maximize else np.inf)
     if maximize:
         np.maximum.at(best, col, coeffs)
     else:
         np.minimum.at(best, col, coeffs)
-    empty = ~np.isfinite(best)
-    if np.any(lows[empty] > 1e-15):
-        return None  # mandatory mass in a value no configuration provides
-    lows = np.where(empty, 0.0, np.clip(lows, 0.0, 1.0))
-    highs = np.where(empty, 0.0, np.clip(highs, 0.0, 1.0))
-    rem = 1.0 - math.fsum(lows.tolist())
+    if empty is not None:
+        best[empty] = 0.0
+    order = np.argsort(-best if maximize else best, kind="stable").tolist()
+    steps = tuple(
+        (g, float(best[g])) for g in order if empty is None or not empty[g]
+    )
+    return best, steps
+
+
+def _member_state(lows: np.ndarray, highs: np.ndarray, empty):
+    """Clipped lower bounds, upper caps and remaining mass of one member's
+    intervals, shared by every query value and both senses. None when this
+    member's constraints alone are infeasible (then the full LP is too)."""
+    if np.any(highs < lows - 1e-15):
+        return None
+    clipped = np.clip(lows, 0.0, 1.0)
+    tops = np.clip(highs, 0.0, 1.0)
+    if empty is not None:
+        if np.any(lows[empty] > 1e-15):
+            return None  # mandatory mass in a value no configuration provides
+        clipped[empty] = 0.0
+        tops[empty] = 0.0
+    rem = 1.0 - math.fsum(clipped.tolist())
     if rem < -1e-12:
         return None
-    rem = max(rem, 0.0)
-    safe_best = np.where(empty, 0.0, best)
-    value = float(np.dot(lows, safe_best))
-    caps = np.clip(highs - lows, 0.0, None)
-    order = np.argsort(-safe_best if maximize else safe_best, kind="stable")
-    for g in order:
+    caps = np.clip(tops - clipped, 0.0, None).tolist()
+    return clipped, caps, max(rem, 0.0)
+
+
+def _single_member_opt(state, table):
+    """Exact optimum of the relaxation keeping only one member's constraints.
+
+    The relaxation reduces to a fractional allocation over value groups:
+    mandatory lower-bound mass first, then the remainder poured greedily
+    under the upper caps. ``state`` comes from ``_member_state`` and
+    ``table`` from ``_member_table``. Returns None when the caps cannot hold
+    the remainder (the full LP is infeasible then).
+    """
+    lows, caps, rem = state
+    best, steps = table
+    # np.dot, not a Python sum: BLAS may fuse multiply-adds, and the bounds
+    # are kept bit for bit
+    value = float(np.dot(lows, best))
+    for g, b in steps:
         if rem <= 0.0:
             break
-        if empty[g]:
-            continue
-        take = min(rem, float(caps[g]))
-        value += take * float(safe_best[g])
+        take = min(rem, caps[g])
+        value += take * b
         rem -= take
     if rem > 1e-9:
         return None  # sum of upper caps below 1: infeasible
     return value
+
+
+def _greedy_optimum(states, tables, fallback: float, maximize: bool) -> float:
+    """Tightest single-member optimum over the feasible members, else
+    ``fallback`` (the coefficient extreme)."""
+    candidates = []
+    for state, table in zip(states, tables):
+        if state is not None:
+            opt = _single_member_opt(state, table)
+            if opt is not None:
+                candidates.append(opt)
+    if not candidates:
+        return fallback
+    return min(candidates) if maximize else max(candidates)
 
 
 def solve_blanket_lp_greedy(lp: BlanketLp, sense: str) -> float:
@@ -164,33 +207,38 @@ def solve_blanket_lp_greedy(lp: BlanketLp, sense: str) -> float:
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be min or max, got {sense!r}")
     maximize = sense == "max"
-    candidates = []
+    states, tables = [], []
     for _var, col, lows, highs in lp.members:
-        opt = _single_member_opt(lp.coeffs, col, lows, highs, maximize)
-        if opt is not None:
-            candidates.append(opt)
-    if not candidates:
-        return float(lp.coeffs.max()) if maximize else float(lp.coeffs.min())
-    return min(candidates) if maximize else max(candidates)
+        empty = _empty_groups(col, len(lows))
+        states.append(_member_state(lows, highs, empty))
+        tables.append(_member_table(lp.coeffs, col, len(lows), empty, maximize))
+    fallback = float(lp.coeffs.max()) if maximize else float(lp.coeffs.min())
+    return _greedy_optimum(states, tables, fallback, maximize)
 
 
 # ---------------------------------------------------------------------------
 # bound propagation
 
-def _boundary_structure(bn: BayesianNetwork, x: int, e: Evidence, k: int):
-    """Cached per-(variable, evidence): boundary, config columns, coefficients."""
-    key = ("bdp-var", x, tuple(sorted(e.items())), k)
-    hit = bn._cache.get(key)
-    if hit is not None:
-        return hit
-    keep = relevant_keep_set(bn, x, e)
-    parents = bn.parents(x)
-    kids = tuple(c for c in bn.children[x] if c in keep)
-    boundary: set[int] = set(parents)
+def _boundary_structure(
+    bn: BayesianNetwork, x: int, kids: tuple[int, ...], e: Evidence, k: int
+):
+    """Boundary, config columns, coefficients and greedy tables of x.
+
+    ``kids`` are the children of x that stay after barren-descendant pruning.
+    Nothing else of ``e`` matters than the values of the observed boundary
+    members, so the cache key holds only those: chain steps and partial
+    tuples that differ elsewhere share the entry.
+    """
+    boundary: set[int] = set(bn.parents(x))
     for c in kids:
         boundary.add(c)
         boundary.update(bn.parents(c))
     boundary.discard(x)
+    observed = tuple((v, e[v]) for v in sorted(boundary) if v in e)
+    key = ("bdp-var", x, kids, observed, k)
+    hit = bn._cache.get(key)
+    if hit is not None:
+        return hit
     domain = math.prod(bn.cards[v] for v in boundary) if boundary else 1
     if domain > k:
         out = {"skip": True}
@@ -233,13 +281,54 @@ def _boundary_structure(bn: BayesianNetwork, x: int, e: Evidence, k: int):
     coeffs = np.divide(
         scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0.0
     )
+
+    # configurations enumerate every value of every member: no empty groups
+    def member_tables(c, maximize):
+        return tuple(_member_table(c, cols[u], bn.cards[u], None, maximize) for u in unobs)
+
+    # per query value: min fallback and tables, max fallback and tables
+    tables = [
+        (float(c.min()), member_tables(c, False), float(c.max()), member_tables(c, True))
+        for c in coeffs.T
+    ]
     out = {
         "skip": False,
         "unobs": unobs,
         "cols": cols,
         "coeffs": coeffs,
+        "tables": tables,
     }
     bn._cache[key] = out
+    return out
+
+
+def _greedy_bounds(st: dict, states: dict, lows: dict, highs: dict):
+    """(min, max) of every query value's greedy relaxation. ``states`` holds
+    each member's ``_member_state`` at its current interval; missing ones are
+    computed here and then serve every value, both senses, and every other
+    variable with that member until its interval is next updated."""
+    member_states = []
+    for u in st["unobs"]:
+        if u not in states:
+            states[u] = _member_state(lows[u], highs[u], None)
+        member_states.append(states[u])
+    return [
+        (_greedy_optimum(member_states, min_tabs, min_fb, False),
+         _greedy_optimum(member_states, max_tabs, max_fb, True))
+        for min_fb, min_tabs, max_fb, max_tabs in st["tables"]
+    ]
+
+
+def _exact_bounds(x: int, st: dict, lows: dict, highs: dict):
+    """(min, max) of every query value of x's exact LP; [0, 1] when infeasible."""
+    members = tuple((u, st["cols"][u], lows[u], highs[u]) for u in st["unobs"])
+    out = []
+    for val in range(st["coeffs"].shape[1]):
+        lp = BlanketLp(query=(x, val), coeffs=st["coeffs"][:, val], members=members)
+        try:
+            out.append((solve_blanket_lp_exact(lp, "min"), solve_blanket_lp_exact(lp, "max")))
+        except BlanketLpInfeasible:
+            out.append((0.0, 1.0))
     return out
 
 
@@ -263,7 +352,6 @@ def propagate_marginal_bounds(
     """
     lows: dict[int, np.ndarray] = {}
     highs: dict[int, np.ndarray] = {}
-    skipped = set()
     for v in range(bn.n):
         if v in e:
             lo = np.zeros(bn.cards[v])
@@ -274,11 +362,17 @@ def propagate_marginal_bounds(
             lows[v] = np.zeros(bn.cards[v])
             highs[v] = np.ones(bn.cards[v])
 
+    # barren-descendant pruning: a child stays in x's relevant subnetwork
+    # when it is observed or has an observed descendant
+    has_obs_below = ancestors_of(bn, set(e))
     sweep_vars = [v for v in bn.topo_order if v not in e]
-    structures = {v: _boundary_structure(bn, v, e, k) for v in sweep_vars}
+    structures = {}
+    for v in sweep_vars:
+        kids = tuple(c for c in bn.children[v] if c in e or c in has_obs_below)
+        structures[v] = _boundary_structure(bn, v, kids, e, k)
     skipped = {v for v in sweep_vars if structures[v]["skip"]}
 
-    solve = solve_blanket_lp_exact if exact_lp else solve_blanket_lp_greedy
+    states: dict = {}
     iters = 0
     for _ in range(max(1, max_iters)):
         iters += 1
@@ -287,21 +381,18 @@ def propagate_marginal_bounds(
             st = structures[v]
             if st["skip"]:
                 continue
-            members = tuple(
-                (u, st["cols"][u], lows[u], highs[u]) for u in st["unobs"]
-            )
-            for val in range(bn.cards[v]):
-                lp = BlanketLp(query=(v, val), coeffs=st["coeffs"][:, val], members=members)
-                try:
-                    lo = solve(lp, "min")
-                    hi = solve(lp, "max")
-                except BlanketLpInfeasible:
-                    lo, hi = 0.0, 1.0
-                new_lo = min(max(lows[v][val], lo), highs[v][val])
-                new_hi = max(min(highs[v][val], hi), new_lo)
-                delta = max(delta, new_lo - lows[v][val], highs[v][val] - new_hi)
-                lows[v][val] = new_lo
-                highs[v][val] = new_hi
+            lv, hv = lows[v], highs[v]
+            if exact_lp:
+                bounds = _exact_bounds(v, st, lows, highs)
+            else:
+                bounds = _greedy_bounds(st, states, lows, highs)
+            for val, (lo, hi) in enumerate(bounds):
+                new_lo = min(max(lv[val], lo), hv[val])
+                new_hi = max(min(hv[val], hi), new_lo)
+                delta = max(delta, new_lo - lv[val], hv[val] - new_hi)
+                lv[val] = new_lo
+                hv[val] = new_hi
+            states.pop(v, None)
         if delta <= tol:
             break
     return MarginalBounds(lows=lows, highs=highs, iterations=iters, skipped=frozenset(skipped))

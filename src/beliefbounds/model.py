@@ -326,7 +326,7 @@ def relevant_keep_set(bn: BayesianNetwork, x: int, e: Evidence) -> frozenset[int
     closed under parents, so original CPTs stay valid on it.
     """
     desc = _descendants(bn, x)
-    has_obs_below = _ancestors_of(bn, set(e))
+    has_obs_below = ancestors_of(bn, set(e))
     removed = {v for v in desc if v not in e and v not in has_obs_below}
     return frozenset(v for v in range(bn.n) if v not in removed)
 
@@ -364,7 +364,7 @@ def _descendants(bn: BayesianNetwork, x: int) -> set[int]:
     return out
 
 
-def _ancestors_of(bn: BayesianNetwork, seeds: set[int]) -> set[int]:
+def ancestors_of(bn: BayesianNetwork, seeds: set[int]) -> set[int]:
     """All strict ancestors of any seed (seeds themselves not included unless
     they are ancestors of another seed)."""
     out: set[int] = set()

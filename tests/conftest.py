@@ -257,6 +257,48 @@ def lp_basis_enumeration(lp: BlanketLp, sense: str) -> float:
     return best
 
 
+def reference_greedy_lp(lp: BlanketLp, sense: str) -> float:
+    """The greedy relaxation written out per call, with no precomputed
+    tables: the reference the bounder's table-driven solver must equal
+    exactly (same operations in the same order)."""
+    maximize = sense == "max"
+    candidates = []
+    for _var, col, lows, highs in lp.members:
+        d = len(lows)
+        if np.any(highs < lows - 1e-15):
+            continue
+        best = np.full(d, -np.inf if maximize else np.inf)
+        if maximize:
+            np.maximum.at(best, col, lp.coeffs)
+        else:
+            np.minimum.at(best, col, lp.coeffs)
+        empty = ~np.isfinite(best)
+        if np.any(lows[empty] > 1e-15):
+            continue
+        lows = np.where(empty, 0.0, np.clip(lows, 0.0, 1.0))
+        highs = np.where(empty, 0.0, np.clip(highs, 0.0, 1.0))
+        rem = 1.0 - math.fsum(lows.tolist())
+        if rem < -1e-12:
+            continue
+        rem = max(rem, 0.0)
+        safe_best = np.where(empty, 0.0, best)
+        value = float(np.dot(lows, safe_best))
+        caps = np.clip(highs - lows, 0.0, None)
+        for g in np.argsort(-safe_best if maximize else safe_best, kind="stable"):
+            if rem <= 0.0:
+                break
+            if empty[g]:
+                continue
+            take = min(rem, float(caps[g]))
+            value += take * float(safe_best[g])
+            rem -= take
+        if rem <= 1e-9:
+            candidates.append(value)
+    if not candidates:
+        return float(lp.coeffs.max()) if maximize else float(lp.coeffs.min())
+    return min(candidates) if maximize else max(candidates)
+
+
 # ---------------------------------------------------------------------------
 # exact plug-in double for assembly arithmetic tests
 

@@ -5,12 +5,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefbounds.bounder import (
     BlanketLp,
     BlanketLpInfeasible,
     ChainPropagationBounder,
     PriorMassBounder,
+    _boundary_structure,
+    _greedy_bounds,
     chain_joint_bounds,
     make_bounder,
     prior_mass_bounds,
@@ -18,7 +22,7 @@ from beliefbounds.bounder import (
     solve_blanket_lp_exact,
     solve_blanket_lp_greedy,
 )
-from beliefbounds.model import BayesianNetwork, Cpt, Variable
+from beliefbounds.model import BayesianNetwork, Cpt, Variable, relevant_keep_set
 
 from conftest import (
     brute_event_mass,
@@ -29,6 +33,7 @@ from conftest import (
     random_lp,
     random_network,
     random_tree_network,
+    reference_greedy_lp,
 )
 
 
@@ -133,6 +138,30 @@ class TestGreedyLp:
         assert solve_blanket_lp_greedy(lp, "min") == coeffs.min()
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        point=st.booleans(),
+        jitter=st.sampled_from([0.0, 1e-15, 0.1]),
+        drop=st.booleans(),
+    )
+    def test_equals_the_per_call_reference(self, seed, point, jitter, drop):
+        # jitter pushes bounds past 0 and 1 and makes some members
+        # infeasible; drop removes configurations, leaving empty groups
+        rng = np.random.default_rng(seed)
+        lp = random_lp(rng, point=point)
+        keep = rng.random(len(lp.coeffs)) < (0.6 if drop else 2.0)
+        keep[0] = True
+        members = tuple(
+            (u, col[keep], lows + rng.uniform(-jitter, jitter, len(lows)),
+             highs + rng.uniform(-jitter, jitter, len(highs)))
+            for u, col, lows, highs in lp.members
+        )
+        lp = BlanketLp(query=lp.query, coeffs=lp.coeffs[keep], members=members)
+        for sense in ("min", "max"):
+            assert solve_blanket_lp_greedy(lp, sense) == reference_greedy_lp(lp, sense)
+
+
 class TestPropagation:
     def test_sound_against_enumeration(self, rng):
         for _ in range(20):
@@ -195,6 +224,48 @@ class TestPropagation:
                     if prev is not None:
                         assert np.all(cur.lows[v] >= prev.lows[v]), (v, iters)
                 prev = cur
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_precomputed_tables_equal_the_greedy_solver(self, seed):
+        # the tables cached per boundary structure and the member states
+        # shared across values give exactly the one-shot solver's optimum
+        rng = np.random.default_rng(seed)
+        bn = random_network(rng, n=int(rng.integers(3, 8)))
+        e = random_evidence(rng, bn, max_obs=3)
+        lows, highs = {}, {}
+        for v in range(bn.n):  # some intervals cross, some leave [0, 1]
+            lows[v] = rng.random(bn.cards[v]) * 0.6 - 0.05
+            highs[v] = lows[v] + rng.random(bn.cards[v]) * 0.9 - 0.05
+        for x in range(bn.n):
+            if x in e:
+                continue
+            keep = relevant_keep_set(bn, x, e)
+            kids = tuple(c for c in bn.children[x] if c in keep)
+            struct = _boundary_structure(bn, x, kids, e, 256)
+            if struct["skip"]:
+                continue
+            members = tuple(
+                (u, struct["cols"][u], lows[u], highs[u]) for u in struct["unobs"]
+            )
+            for val, (lo, hi) in enumerate(_greedy_bounds(struct, {}, lows, highs)):
+                lp = BlanketLp((x, val), struct["coeffs"][:, val], members)
+                assert lo == solve_blanket_lp_greedy(lp, "min") == reference_greedy_lp(lp, "min")
+                assert hi == solve_blanket_lp_greedy(lp, "max") == reference_greedy_lp(lp, "max")
+
+    def test_structure_cache_shared_across_evidence_is_exact(self, rng):
+        # entries are keyed on a variable's local evidence only, so a cache
+        # filled under other evidence sets gives the same bounds as a cold one
+        for _ in range(10):
+            bn = random_network(rng, n=7)
+            evs = [random_evidence(rng, bn, max_obs=3) for _ in range(4)]
+            warm = [propagate_marginal_bounds(bn, e, max_iters=3) for e in evs + evs]
+            for e, got in zip(evs + evs, warm):
+                cold = BayesianNetwork(variables=bn.variables, cpts=bn.cpts)
+                want = propagate_marginal_bounds(cold, e, max_iters=3)
+                for v in range(bn.n):
+                    assert got.lows[v].tolist() == want.lows[v].tolist()
+                    assert got.highs[v].tolist() == want.highs[v].tolist()
 
     def test_tiny_k_skips_to_vacuous(self, rng):
         bn = random_network(rng, n=6, extra_edge_prob=1.0)
