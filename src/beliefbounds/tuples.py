@@ -26,8 +26,8 @@ class ActiveTupleSet:
     """Ordered distinct full cutset tuples with cached exact sums.
 
     ``pe[i]`` caches P(c^i, e). ``priors`` and the per-variable joint tables
-    ``x_tables[var][i, value] = P(value, c^i, e)`` are attached on demand by
-    the engine.
+    ``x_tables[var][i, value] = P(value, c^i, e)`` are optional caches a
+    caller may attach; ``prefix`` slices them. The engine only reads the set.
     """
 
     cutset: Cutset
@@ -122,6 +122,7 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
     mass(tuple(state))
     for _ in range(max(0, sweeps)):
         for k in range(c.size):
+            current = state[k]
             probs = np.empty(c.cards[k])
             for val in range(c.cards[k]):
                 state[k] = val
@@ -129,9 +130,8 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
             total = probs.sum()
             if total > 0.0:
                 state[k] = int(rng.choice(c.cards[k], p=probs / total))
-            # all-zero conditional: keep the current value
-            else:
-                state[k] = state[k]
+            else:  # all-zero conditional: keep the current value
+                state[k] = current
             mass(tuple(state))
 
     ranked = sorted(visited.items(), key=lambda kv: (-kv[1], kv[0]))

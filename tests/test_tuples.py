@@ -198,6 +198,24 @@ class TestGibbsSelection:
         TestTruncatedTree._covers_once(tree, cut.cards)
 
 
+    def test_all_zero_conditional_keeps_the_current_value(self):
+        # X0 is 0 for sure; the forward sample draws X1=0, which evidence
+        # E=1 rules out, so every value of X0 has zero mass. The chain must
+        # keep X0=0 (not the last value tried, 2, whose prior is 0) for X1
+        # to move to 1 and find the only positive tuple.
+        variables = (Variable(0, "x0", 3), Variable(1, "x1", 2), Variable(2, "e", 2))
+        cpts = (
+            Cpt(0, (), np.array([1.0, 0.0, 0.0])),
+            Cpt(1, (), np.array([0.99, 0.01])),
+            Cpt(2, (1,), np.array([[1.0, 0.0], [0.0, 1.0]])),
+        )
+        bn = BayesianNetwork(variables, cpts)
+        cut = Cutset(vars=(0, 1), cards=(3, 2))
+        active = select_tuples_gibbs(bn, {2: 1}, cut, 1, sweeps=1, seed=0, cap=0)
+        assert active.tuples == ((0, 1),)
+        assert active.pe[0] == pytest.approx(0.01)
+
+
 class TestPartitionCheck:
     def test_masses_sum_to_event_probability(self, rng):
         for _ in range(12):
