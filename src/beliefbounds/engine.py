@@ -142,7 +142,6 @@ def prepare_inputs(
     pe_terms = tuple(float(p) for p in active.pe)
     s = math.fsum(pe_terms)
     priors = tuple(_tuple_prior(bn, c.vars, t) for t in active.tuples)
-    active.priors = np.array(priors, dtype=np.float64)
     r = 0.0 if tree.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
 
     cutset_pos = {v: k for k, v in enumerate(c.vars)}
@@ -163,9 +162,6 @@ def prepare_inputs(
             rows = [
                 _active_row(bn, e_key, e, c.vars, t, var) for t in active.tuples
             ]
-            active.x_tables[var] = (
-                np.array(rows) if rows else np.zeros((0, card))
-            )
             active_mass[var] = np.array(
                 [math.fsum(float(row[x]) for row in rows) for x in range(card)]
             )

@@ -235,6 +235,20 @@ class TestQueryValidation:
             run_engine(bn, {}, h=1, plugin="bp")
 
 
+class TestPrepareInputs:
+    def test_leaves_the_active_set_unchanged(self):
+        bn = _diamond()
+        e = {3: 1}
+        cut = Cutset(vars=(0,)).with_cards(bn)
+        active = select_tuples_gibbs(bn, e, cut, 1)
+        tuples, pe = active.tuples, active.pe.copy()
+        prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
+        assert active.tuples == tuples
+        np.testing.assert_array_equal(active.pe, pe)
+        assert active.priors is None
+        assert active.x_tables == {}
+
+
 class TestInvocationAccounting:
     def test_costs_per_report(self):
         bn = _diamond()
