@@ -137,7 +137,6 @@ class TestGreedyLp:
         assert solve_blanket_lp_greedy(lp, "max") == coeffs.max()
         assert solve_blanket_lp_greedy(lp, "min") == coeffs.min()
 
-
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -197,7 +197,6 @@ class TestGibbsSelection:
         tree = build_truncated_tree(cut, active)
         TestTruncatedTree._covers_once(tree, cut.cards)
 
-
     def test_all_zero_conditional_keeps_the_current_value(self):
         # X0 is 0 for sure; the forward sample draws X1=0, which evidence
         # E=1 rules out, so every value of X0 has zero mass. The chain must
