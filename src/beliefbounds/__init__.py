@@ -8,7 +8,6 @@ sound at any h and collapse to the exact answers at h = M.
 
 from .bounder import (
     BlanketLp,
-    BlanketLpInfeasible,
     ChainPropagationBounder,
     JointBounder,
     MarginalBounds,
@@ -18,7 +17,6 @@ from .bounder import (
     make_bounder,
     prior_mass_bounds,
     propagate_marginal_bounds,
-    solve_blanket_lp_exact,
     solve_blanket_lp_greedy,
 )
 from .engine import (
@@ -33,6 +31,7 @@ from .engine import (
     prior_mass_closed_interval,
     remainder_interval_bound,
     run_engine,
+    select_and_bound,
 )
 from .exact import (
     ScopeCapError,

@@ -18,7 +18,6 @@ its values at once — two plug-in invocations per partial tuple.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,6 @@ from .model import (
 DEFAULT_K = 2**10
 DEFAULT_MAX_ITERS = 50
 DEFAULT_TOL = 1e-6
-
-
-class BlanketLpInfeasible(ValueError):
-    """The constraint set admits no distribution (caller widens to [0,1])."""
 
 
 @dataclass
@@ -68,45 +63,6 @@ class BlanketLp:
     query: tuple[int, int]
     coeffs: np.ndarray
     members: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def solve_blanket_lp_exact(lp: BlanketLp, sense: str) -> float:
-    """Exact LP optimum via scipy's HiGHS solver (test oracle, not the
-    production path). Raises BlanketLpInfeasible when no q satisfies the
-    constraints."""
-    from scipy.optimize import linprog
-
-    n = lp.coeffs.shape[0]
-    if n > 2**10:
-        raise ValueError("blanket state space too large for the exact solver")
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be min or max, got {sense!r}")
-    rows = []
-    rhs = []
-    for _var, col, lows, highs in lp.members:
-        for v in range(len(lows)):
-            ind = (col == v).astype(np.float64)
-            rows.append(ind)
-            rhs.append(highs[v])
-            rows.append(-ind)
-            rhs.append(-lows[v])
-    a_ub = np.array(rows) if rows else None
-    b_ub = np.array(rhs) if rhs else None
-    c = lp.coeffs if sense == "min" else -lp.coeffs
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, n)),
-        b_eq=np.array([1.0]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status == 2:
-        raise BlanketLpInfeasible("no boundary distribution satisfies the constraints")
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return float(res.fun) if sense == "min" else float(-res.fun)
 
 
 def _empty_groups(col: np.ndarray, d: int) -> np.ndarray | None:
@@ -319,26 +275,12 @@ def _greedy_bounds(st: dict, states: dict, lows: dict, highs: dict):
     ]
 
 
-def _exact_bounds(x: int, st: dict, lows: dict, highs: dict):
-    """(min, max) of every query value of x's exact LP; [0, 1] when infeasible."""
-    members = tuple((u, st["cols"][u], lows[u], highs[u]) for u in st["unobs"])
-    out = []
-    for val in range(st["coeffs"].shape[1]):
-        lp = BlanketLp(query=(x, val), coeffs=st["coeffs"][:, val], members=members)
-        try:
-            out.append((solve_blanket_lp_exact(lp, "min"), solve_blanket_lp_exact(lp, "max")))
-        except BlanketLpInfeasible:
-            out.append((0.0, 1.0))
-    return out
-
-
 def propagate_marginal_bounds(
     bn: BayesianNetwork,
     e: Evidence,
     k: int = DEFAULT_K,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
-    exact_lp: bool = False,
 ) -> MarginalBounds:
     """Iterative marginal bounding by per-variable boundary LPs.
 
@@ -347,8 +289,7 @@ def propagate_marginal_bounds(
     boundary (restricted to the variable's relevant subnetwork) and intersect,
     so intervals never widen. Variables whose full boundary domain exceeds
     ``k`` are skipped and keep [0, 1]. Observed variables are pinned to their
-    indicator. ``exact_lp`` swaps the greedy relaxation for the exact solver
-    (test oracle; infeasible LPs fall back to the coefficient extremes).
+    indicator.
     """
     lows: dict[int, np.ndarray] = {}
     highs: dict[int, np.ndarray] = {}
@@ -382,11 +323,7 @@ def propagate_marginal_bounds(
             if st["skip"]:
                 continue
             lv, hv = lows[v], highs[v]
-            if exact_lp:
-                bounds = _exact_bounds(v, st, lows, highs)
-            else:
-                bounds = _greedy_bounds(st, states, lows, highs)
-            for val, (lo, hi) in enumerate(bounds):
+            for val, (lo, hi) in enumerate(_greedy_bounds(st, states, lows, highs)):
                 new_lo = min(max(lv[val], lo), hv[val])
                 new_hi = max(min(hv[val], hi), new_lo)
                 delta = max(delta, new_lo - lv[val], hv[val] - new_hi)
@@ -428,14 +365,12 @@ def chain_joint_bounds(
     k: int = DEFAULT_K,
     iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
-    order: tuple[int, ...] | None = None,
 ) -> tuple[float, float]:
     """Bound P(a ∪ extra, e) by the evidence-chain factorization.
 
     Evidence conditionals are taken in topological order (earlier factors see
-    smaller relevant subnetworks); any ``order`` yields a sound interval, so
-    the parameter exists for experiments. Each factor's interval comes from
-    bound propagation on the network conditioned on everything to its left.
+    smaller relevant subnetworks). Each factor's interval comes from bound
+    propagation on the network conditioned on everything to its left.
     The result is intersected with the prior-mass interval, so it degrades to
     that bound instead of ever being worse.
     """
@@ -447,13 +382,9 @@ def chain_joint_bounds(
             return 0.0, 0.0
     prior = float(eliminate(bn, merged, ()))
     bf_hi = min(1.0, prior)
-    if order is None:
-        order = tuple(v for v in bn.topo_order if v in e)
-    elif set(order) != set(e):
-        raise ValueError("order must be a permutation of the evidence variables")
     lo_prod, hi_prod = 1.0, 1.0
     ctx = dict(merged)
-    for ev_var in (v for v in order if v not in merged):
+    for ev_var in (v for v in bn.topo_order if v in e and v not in merged):
         mb = propagate_marginal_bounds(bn, ctx, k=k, max_iters=iters, tol=tol)
         l, u = mb.interval(ev_var, e[ev_var])
         lo_prod *= max(0.0, l)
@@ -476,8 +407,7 @@ class PartialTupleBounds:
     ``var_low[v][x]``/``var_high[v][x]`` bound P(x, partial, e) for every
     still-free variable v; ``joint`` bounds P(partial, e); ``prior`` is the
     exact prior mass of the partial and ``var_prior[v]`` the exact prior of
-    each one-variable cutset extension (closed forms and the factored
-    extension mode read these).
+    each one-variable cutset extension (the bounders cap ``var_high`` with it).
     """
 
     prior: float
@@ -489,10 +419,10 @@ class PartialTupleBounds:
 
 
 class JointBounder:
-    """Contract: sound [L, U] on joints of partial assignments with evidence."""
+    """Contract: ``tuple_tables`` gives sound bounds on the joints of a
+    partial cutset tuple with the evidence (see ``PartialTupleBounds``)."""
 
     name = "?"
-    supports_arbitrary_assignments = True
 
     def __init__(self, bn: BayesianNetwork, e: Evidence, cutset_vars: tuple[int, ...]):
         self.bn = bn
@@ -500,7 +430,6 @@ class JointBounder:
         self.cutset_vars = tuple(cutset_vars)
         self.invocations = 0
         self._memo: dict = {}
-        self._lock = threading.Lock()
 
     def _free_vars(self, assigned: dict) -> list[int]:
         return [
@@ -510,23 +439,15 @@ class JointBounder:
     def _extension_priors(self, partial: dict, var: int) -> np.ndarray:
         return np.asarray(eliminate(self.bn, partial, (var,)), dtype=np.float64)
 
-    def joint_bounds(self, a, extra=None) -> tuple[float, float]:
-        raise NotImplementedError
-
     def tuple_tables(self, partial: PartialAssignment) -> PartialTupleBounds:
-        """Memoized batched tables; safe under concurrent callers (distinct
-        partials run in parallel, each is computed and counted once)."""
+        """Memoized batched tables: each distinct partial is computed and
+        counted once."""
         key = tuple(partial)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._tables(dict(partial))
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is None:
-                self._memo[key] = out
-                self.invocations += out.cost
-                hit = out
+        if hit is None:
+            hit = self._tables(dict(partial))
+            self._memo[key] = hit
+            self.invocations += hit.cost
         return hit
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
@@ -535,9 +456,6 @@ class JointBounder:
 
 class PriorMassBounder(JointBounder):
     name = "bf"
-
-    def joint_bounds(self, a, extra=None):
-        return prior_mass_bounds(self.bn, self.e, a, extra)
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
         prior = float(eliminate(self.bn, partial, ()))
@@ -581,11 +499,6 @@ class ChainPropagationBounder(JointBounder):
         self.k = k
         self.iters = iters
         self.tol = tol
-
-    def joint_bounds(self, a, extra=None):
-        return chain_joint_bounds(
-            self.bn, self.e, a, extra, k=self.k, iters=self.iters, tol=self.tol
-        )
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
         prior = float(eliminate(self.bn, partial, ()))

@@ -29,16 +29,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sweeps", type=int, default=32, help="tuple-selection sweeps")
     p.add_argument("--iters", type=int, default=50, help="propagation iterations")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-json", dest="out_json")
     p.add_argument("--out-csv", dest="out_csv")
     p.add_argument("--oracle", choices=("on", "off", "auto"), default="auto")
-    p.add_argument(
-        "--extension-mode", choices=("direct", "factored"), default="direct"
-    )
 
 
-def _config(args, include_bc: bool) -> ExperimentConfig:
+def _config(args) -> ExperimentConfig:
     sweep = None
     if args.sweep_h:
         sweep = tuple(int(tok) for tok in args.sweep_h.split(",") if tok.strip())
@@ -54,12 +50,9 @@ def _config(args, include_bc: bool) -> ExperimentConfig:
         sweeps=args.sweeps,
         iters=args.iters,
         seed=args.seed,
-        jobs=args.jobs,
         out_json=args.out_json,
         out_csv=args.out_csv,
         oracle=args.oracle,
-        extension_mode=args.extension_mode,
-        include_bc=include_bc,
     )
 
 
@@ -131,7 +124,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        payload = run_experiment(_config(args, include_bc=True))
+        payload = run_experiment(_config(args))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,15 +8,15 @@ marginals of every unobserved variable (cutset members included), for P(e),
 plus the classic prior-remainder baseline and the width guarantee that only
 depends on how much prior mass the active tuples cover.
 
-Per-partial bounder tables are computed once and shared by every query; with
-``jobs > 1`` they are computed concurrently.
+Per-partial bounder tables are computed once and shared by every query.
+``select_and_bound`` is the one setup path (cutset, tuple selection, bounder)
+behind both ``run_engine`` and the experiment harness.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,6 @@ class EngineInputs:
     active_mass: dict[int, np.ndarray]
     tables: tuple[PartialTupleBounds, ...]
     cutset_pos: dict[int, int]
-    extension_mode: str = "direct"
     timings: dict[str, float] = field(default_factory=dict)
     _marg_cache: dict = field(default_factory=dict, repr=False)
 
@@ -127,12 +126,8 @@ def prepare_inputs(
     e: Evidence,
     active: ActiveTupleSet,
     bounder: JointBounder,
-    jobs: int = 1,
-    extension_mode: str = "direct",
 ) -> EngineInputs:
     """Exact sums over the active set plus plug-in tables over the partials."""
-    if extension_mode not in ("direct", "factored"):
-        raise ValueError(f"unknown extension mode {extension_mode!r}")
     c = active.cutset if active.cutset.cards else active.cutset.with_cards(bn)
     tree = build_truncated_tree(c, active)
     e_key = tuple(sorted(e.items()))
@@ -168,14 +163,10 @@ def prepare_inputs(
     timings["exact_sums"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    partial_pairs = [
-        tuple(zip(c.vars[: len(vals)], vals)) for vals in tree.partials
-    ]
-    if jobs > 1 and partial_pairs:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            tables = tuple(pool.map(bounder.tuple_tables, partial_pairs))
-    else:
-        tables = tuple(bounder.tuple_tables(p) for p in partial_pairs)
+    tables = tuple(
+        bounder.tuple_tables(tuple(zip(c.vars[: len(vals)], vals)))
+        for vals in tree.partials
+    )
     timings["plugin"] = time.perf_counter() - t0
 
     for var, mass in active_mass.items():
@@ -195,7 +186,6 @@ def prepare_inputs(
         active_mass=active_mass,
         tables=tables,
         cutset_pos=cutset_pos,
-        extension_mode=extension_mode,
         timings=timings,
     )
 
@@ -211,7 +201,6 @@ def _partial_terms(inputs: EngineInputs, var: int, value: int):
     oL lower-bounds the mass on the other values.
     """
     k = inputs.cutset_pos.get(var)
-    factored = inputs.extension_mode == "factored" and k is not None
     nls, terms, nus, ols = [], [], [], []
     for vals, tab in zip(inputs.tree.partials, inputs.tables):
         jl, ju = tab.joint
@@ -233,14 +222,7 @@ def _partial_terms(inputs: EngineInputs, var: int, value: int):
         ou = float(highs.sum() - highs[value])
         nls.append(nl)
         terms.append(min(nl + ou, ju))
-        if factored:
-            # product form: prior conditional of the extension times the
-            # tuple upper bound (comparison mode, see the extension flag)
-            pri = tab.var_prior[var]
-            cond = float(pri[value]) / tab.prior if tab.prior > 0.0 else 0.0
-            nus.append(min(cond * ju, float(highs[value])))
-        else:
-            nus.append(min(float(highs[value]), ju))
+        nus.append(min(float(highs[value]), ju))
         ols.append(float(lows.sum() - lows[value]))
     return nls, terms, nus, ols
 
@@ -353,13 +335,11 @@ def remainder_interval_bound(inputs: EngineInputs) -> float:
     return inputs.r / den
 
 
-def compute_report(inputs: EngineInputs, include_bc: bool = True) -> BoundsReport:
+def compute_report(inputs: EngineInputs) -> BoundsReport:
     """Assemble every query interval once, sharing the per-partial tables."""
     t0 = time.perf_counter()
     marginals: dict[int, tuple[tuple[float, float], ...]] = {}
-    bc_marginals: dict[int, tuple[tuple[float, float], ...]] | None = (
-        {} if include_bc else None
-    )
+    bc_marginals: dict[int, tuple[tuple[float, float], ...]] = {}
     clamps = 0
     degenerate: list[tuple[int, int]] = []
     for var in inputs.query_vars():
@@ -371,11 +351,10 @@ def compute_report(inputs: EngineInputs, include_bc: bool = True) -> BoundsRepor
             if deg:
                 degenerate.append((var, value))
         marginals[var] = tuple(rows)
-        if bc_marginals is not None:
-            bc_marginals[var] = tuple(
-                bounded_conditioning_bounds(inputs, var, value)[:2]
-                for value in range(inputs.bn.cards[var])
-            )
+        bc_marginals[var] = tuple(
+            bounded_conditioning_bounds(inputs, var, value)[:2]
+            for value in range(inputs.bn.cards[var])
+        )
 
     if inputs.bounder.name == "bf":
         ev = evidence_closed_form(inputs)
@@ -398,7 +377,7 @@ def compute_report(inputs: EngineInputs, include_bc: bool = True) -> BoundsRepor
         evidence=ev,
         marginals=marginals,
         bc_marginals=bc_marginals,
-        bc_evidence=evidence_closed_form(inputs) if include_bc else None,
+        bc_evidence=evidence_closed_form(inputs),
         clamp_events=clamps,
         degenerate=tuple(degenerate),
         invocations=sum(t.cost for t in inputs.tables),
@@ -409,7 +388,7 @@ def compute_report(inputs: EngineInputs, include_bc: bool = True) -> BoundsRepor
 # ---------------------------------------------------------------------------
 # one-call pipeline
 
-def run_engine(
+def select_and_bound(
     bn: BayesianNetwork,
     e: Evidence,
     h: int,
@@ -422,12 +401,10 @@ def run_engine(
     k: int = 2**10,
     iters: int = 50,
     tol: float = 1e-6,
-    jobs: int = 1,
-    bounder: JointBounder | None = None,
-    extension_mode: str = "direct",
-    include_bc: bool = True,
-) -> BoundsReport:
-    """Select tuples, bound the partials, assemble: the whole pipeline."""
+) -> tuple[ActiveTupleSet, JointBounder, float]:
+    """Pipeline setup: choose the cutset (unless given), select the h active
+    tuples and build the plug-in bounder. Returns (active, bounder, seconds
+    spent selecting tuples)."""
     if cutset is None:
         if cutset_kind == "loop":
             cutset = find_loop_cutset(bn, exclude=frozenset(e))
@@ -438,11 +415,15 @@ def run_engine(
     cutset = cutset if cutset.cards else cutset.with_cards(bn)
     t0 = time.perf_counter()
     active = select_tuples_gibbs(bn, e, cutset, h, sweeps=sweeps, seed=seed)
-    select_time = time.perf_counter() - t0
-    if bounder is None:
-        bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters, tol=tol)
-    inputs = prepare_inputs(
-        bn, e, active, bounder, jobs=jobs, extension_mode=extension_mode
-    )
-    inputs.timings["selection"] = select_time
-    return compute_report(inputs, include_bc=include_bc)
+    select_s = time.perf_counter() - t0
+    bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters, tol=tol)
+    return active, bounder, select_s
+
+
+def run_engine(bn: BayesianNetwork, e: Evidence, h: int, **options) -> BoundsReport:
+    """Select tuples, bound the partials, assemble: the whole pipeline.
+    ``options`` are those of ``select_and_bound``."""
+    active, bounder, select_s = select_and_bound(bn, e, h, **options)
+    inputs = prepare_inputs(bn, e, active, bounder)
+    inputs.timings["selection"] = select_s
+    return compute_report(inputs)

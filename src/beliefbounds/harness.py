@@ -13,21 +13,17 @@ import csv
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bounder import make_bounder
-from .engine import BoundsReport, compute_report, prepare_inputs
+from .engine import BoundsReport, compute_report, prepare_inputs, select_and_bound
 from .exact import (
     ScopeCapError,
     ZeroEvidenceError,
     bucket_eliminate_marginals,
     bucket_eliminate_pe,
 )
-from .graphs import find_loop_cutset, find_w_cutset
 from .model import parse_evidence, parse_network, validate_evidence
-from .tuples import select_tuples_gibbs
 
 
 @dataclass
@@ -64,11 +60,11 @@ def midpoint_error(report: BoundsReport, exact: dict) -> float:
     return math.fsum(errs) / len(errs)
 
 
-def coverage_pct(inputs, exact_pe: float) -> float:
+def coverage_pct(report: BoundsReport, exact_pe: float) -> float:
     """Share of P(e) mass covered exactly by the active tuples, in percent."""
     if exact_pe <= 0.0:
         raise ZeroEvidenceError("P(e) = 0; coverage undefined")
-    s = float(inputs.s)
+    s = float(report.s)
     return min(100.0, max(0.0, 100.0 * s / exact_pe))
 
 
@@ -238,12 +234,9 @@ class ExperimentConfig:
     iters: int = 50
     tol: float = 1e-6
     seed: int = 0
-    jobs: int = 1
     out_json: str | None = None
     out_csv: str | None = None
     oracle: str = "auto"
-    extension_mode: str = "direct"
-    include_bc: bool = True
 
     def echo(self) -> dict:
         return {
@@ -259,10 +252,7 @@ class ExperimentConfig:
             "iters": self.iters,
             "tol": self.tol,
             "seed": self.seed,
-            "jobs": self.jobs,
             "oracle": self.oracle,
-            "extension_mode": self.extension_mode,
-            "include_bc": self.include_bc,
         }
 
 
@@ -278,59 +268,39 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         e = parse_evidence(Path(cfg.evidence).read_text()) if cfg.evidence else {}
         validate_evidence(bn, e)
 
-        hs = list(cfg.sweep_h) if cfg.sweep_h else None
-        if hs is None:
-            if cfg.h is None:
-                raise ValueError("one of h / sweep_h is required")
-            hs = [cfg.h]
-        if not hs or any(x < 0 for x in hs):
+        if cfg.sweep_h and cfg.h is not None:
+            raise ValueError("give one of h / sweep_h, not both")
+        if not cfg.sweep_h and cfg.h is None:
+            raise ValueError("one of h / sweep_h is required")
+        hs = list(cfg.sweep_h) if cfg.sweep_h else [cfg.h]
+        if any(x < 0 for x in hs):
             raise ValueError(f"invalid h values {hs}")
+        if cfg.oracle not in ("on", "off", "auto"):
+            raise ValueError(f"unknown oracle mode {cfg.oracle!r}")
 
-        if cfg.cutset == "loop":
-            cutset = find_loop_cutset(bn, exclude=frozenset(e))
-        elif cfg.cutset == "w":
-            cutset = find_w_cutset(bn, cfg.w, exclude=frozenset(e))
-        else:
-            raise ValueError(f"unknown cutset kind {cfg.cutset!r}")
-        cutset = cutset.with_cards(bn)
+        active_full, bounder, select_time = select_and_bound(
+            bn, e, max(hs), plugin=cfg.plugin, cutset_kind=cfg.cutset, w=cfg.w,
+            sweeps=cfg.sweeps, seed=cfg.seed, k=cfg.k, iters=cfg.iters, tol=cfg.tol,
+        )
 
-        exact_pe = None
-        exact_marginals = None
-        if cfg.oracle in ("on", "auto"):
+        exact_pe = exact_marginals = None
+        if cfg.oracle != "off":
             try:
-                exact_pe = bucket_eliminate_pe(bn, e)
-                exact_marginals = bucket_eliminate_marginals(bn, e)
+                exact_pe, exact_marginals = (
+                    bucket_eliminate_pe(bn, e), bucket_eliminate_marginals(bn, e)
+                )
             except (ScopeCapError, ZeroEvidenceError):
                 if cfg.oracle == "on":
                     raise
-                exact_pe = None
-                exact_marginals = None
-        elif cfg.oracle != "off":
-            raise ValueError(f"unknown oracle mode {cfg.oracle!r}")
-
-        t0 = time.perf_counter()
-        active_full = select_tuples_gibbs(
-            bn, e, cutset, max(hs), sweeps=cfg.sweeps, seed=cfg.seed
-        )
-        select_time = time.perf_counter() - t0
-        bounder = make_bounder(
-            cfg.plugin, bn, e, cutset.vars, k=cfg.k, iters=cfg.iters, tol=cfg.tol
-        )
 
         runs = []
         summary = []
         timing_rows = []
         last_report = None
         for h in hs:
-            inputs = prepare_inputs(
-                bn,
-                e,
-                active_full.prefix(h),
-                bounder,
-                jobs=cfg.jobs,
-                extension_mode=cfg.extension_mode,
+            report = compute_report(
+                prepare_inputs(bn, e, active_full.prefix(h), bounder)
             )
-            report = compute_report(inputs, include_bc=cfg.include_bc)
             metrics = summarize(report, exact_marginals, exact_pe)
             runs.append(
                 report_payload(report, cfg.echo(), metrics, exact_pe, exact_marginals)

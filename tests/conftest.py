@@ -206,6 +206,49 @@ def random_lp(
     return BlanketLp(query=(0, 0), coeffs=coeffs, members=tuple(members))
 
 
+class BlanketLpInfeasible(ValueError):
+    """The constraint set admits no distribution."""
+
+
+def solve_blanket_lp_exact(lp: BlanketLp, sense: str) -> float:
+    """Exact LP optimum via scipy's HiGHS solver (oracle for the greedy
+    relaxation). Raises BlanketLpInfeasible when no q satisfies the
+    constraints."""
+    from scipy.optimize import linprog
+
+    n = lp.coeffs.shape[0]
+    if n > 2**10:
+        raise ValueError("blanket state space too large for the exact solver")
+    if sense not in ("min", "max"):
+        raise ValueError(f"sense must be min or max, got {sense!r}")
+    rows = []
+    rhs = []
+    for _var, col, lows, highs in lp.members:
+        for v in range(len(lows)):
+            ind = (col == v).astype(np.float64)
+            rows.append(ind)
+            rhs.append(highs[v])
+            rows.append(-ind)
+            rhs.append(-lows[v])
+    a_ub = np.array(rows) if rows else None
+    b_ub = np.array(rhs) if rhs else None
+    c = lp.coeffs if sense == "min" else -lp.coeffs
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=np.ones((1, n)),
+        b_eq=np.array([1.0]),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status == 2:
+        raise BlanketLpInfeasible("no boundary distribution satisfies the constraints")
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return float(res.fun) if sense == "min" else float(-res.fun)
+
+
 def lp_basis_enumeration(lp: BlanketLp, sense: str) -> float:
     """Exact optimum by enumerating basic solutions of the standard form.
 
@@ -306,18 +349,6 @@ class ExactBounder(JointBounder):
     """Plug-in returning exact values as point intervals (arithmetic oracle)."""
 
     name = "exact"
-
-    def joint_bounds(self, a, extra=None):
-        merged = dict(self.e)
-        items = list(dict(a or {}).items())
-        if extra is not None:
-            items.append(tuple(extra))
-        for var, val in items:
-            if var in merged and merged[var] != val:
-                return 0.0, 0.0
-            merged[var] = val
-        mass = brute_event_mass(self.bn, merged)
-        return mass, mass
 
     def _tables(self, partial):
         assigned = dict(self.e)

@@ -8,12 +8,11 @@ how the sweep pipeline runs them.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from beliefbounds.bounder import make_bounder, solve_blanket_lp_exact, solve_blanket_lp_greedy
+from beliefbounds.bounder import make_bounder, solve_blanket_lp_greedy
 from beliefbounds.engine import compute_report, prepare_inputs
 from beliefbounds.exact import bucket_eliminate_marginals, bucket_eliminate_pe
 from beliefbounds.graphs import Cutset
@@ -26,7 +25,7 @@ from beliefbounds.tuples import (
     select_tuples_gibbs,
 )
 
-from conftest import lp_basis_enumeration, random_lp
+from conftest import lp_basis_enumeration, random_lp, solve_blanket_lp_exact
 
 _REPORTS = None
 _SUITE_SECONDS = None
@@ -293,7 +292,7 @@ def test_criterion_12_reports_are_byte_identical(tmp_path):
     m = find_loop_cutset(bn, exclude=frozenset({5})).with_cards(bn).n_tuples
     sweep = tuple(sorted({0, 1, m // 2, m}))
 
-    def render(jobs):
+    def render():
         cfg = ExperimentConfig(
             network=str(net),
             evidence=str(evid),
@@ -301,19 +300,12 @@ def test_criterion_12_reports_are_byte_identical(tmp_path):
             plugin="abdp",
             k=128,
             iters=2,
-            jobs=jobs,
         )
         payload = run_experiment(cfg)
         payload.pop("timings")
-        payload["config"].pop("jobs")
         return dumps_canonical(payload)
 
-    first = render(1)
-    again = render(1)
-    parallel = render(3)
+    first = render()
+    again = render()
     assert first == again
-    assert first == parallel
-    print(
-        f"criterion 12: PASS ({len(first)} canon bytes, repeat and parallel "
-        "runs identical)"
-    )
+    print(f"criterion 12: PASS ({len(first)} canon bytes, repeat runs identical)")

@@ -227,8 +227,6 @@ class TestQueryValidation:
 
     def test_unknown_modes_rejected(self):
         bn = _diamond()
-        with pytest.raises(ValueError, match="extension mode"):
-            run_engine(bn, {}, h=1, extension_mode="multiplicative")
         with pytest.raises(ValueError, match="cutset kind"):
             run_engine(bn, {}, h=1, cutset_kind="random")
         with pytest.raises(ValueError, match="unknown bounder"):
@@ -275,41 +273,6 @@ class TestInvocationAccounting:
         assert bounder.invocations == 2  # (,) and (complement,) each computed once
 
 
-class TestParallelDeterminism:
-    def test_jobs_do_not_change_any_bit(self, rng):
-        for _ in range(4):
-            bn = random_network(rng, n=7)
-            e = random_evidence(rng, bn)
-            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
-            if not cut.vars or cut.n_tuples > 24:
-                continue
-            h = cut.n_tuples // 2
-            reps = []
-            for jobs in (1, 4):
-                active = select_tuples_gibbs(bn, e, cut, h)
-                bounder = make_bounder("abdp", bn, e, cut.vars, k=64, iters=1)
-                inputs = prepare_inputs(bn, e, active, bounder, jobs=jobs)
-                reps.append(compute_report(inputs))
-            a, b = reps
-            assert a.evidence == b.evidence
-            assert a.marginals == b.marginals
-            assert a.invocations == b.invocations
-
-
-class TestExtensionModes:
-    def test_factored_mode_runs_and_stays_a_valid_interval(self):
-        bn = _diamond()
-        e = {3: 1}
-        rep_d = run_engine(bn, e, h=1, plugin="bf", extension_mode="direct")
-        rep_f = run_engine(bn, e, h=1, plugin="bf", extension_mode="factored")
-        for rows in rep_f.marginals.values():
-            for lo, hi in rows:
-                assert 0.0 <= lo <= hi <= 1.0
-        # off-cutset queries are untouched by the extension mode
-        assert rep_f.marginals[1] == rep_d.marginals[1]
-        assert rep_f.marginals[2] == rep_d.marginals[2]
-
-
 class TestBaselineColumns:
     def test_baseline_interval_and_remainder_width(self, rng):
         for _ in range(6):
@@ -332,11 +295,6 @@ class TestBaselineColumns:
                         assert lo - 1e-9 <= post[var][val] <= hi + 1e-9
                         if not deg:
                             assert hi - lo >= rep.r - 1e-12
-
-    def test_include_bc_false_drops_columns(self):
-        bn = _diamond()
-        rep = run_engine(bn, {3: 0}, h=1, include_bc=False)
-        assert rep.bc_marginals is None and rep.bc_evidence is None
 
 
 class TestEndToEnd:

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beliefbounds
 from beliefbounds.cli import main as cli_main
 from beliefbounds.engine import BoundsReport, run_engine
 from beliefbounds.exact import ZeroEvidenceError, enumerate_oracle
@@ -25,7 +30,7 @@ from beliefbounds.harness import (
 )
 from beliefbounds.model import parse_network
 
-from conftest import network_text, random_network
+from conftest import grid_network, network_text, random_network
 
 DIAMOND_SRC = """BAYES
 4
@@ -271,10 +276,9 @@ class TestRunExperiment:
             plugin="abdp", k=64, iters=2,
         )
         texts = []
-        for jobs in (1, 2, 1):
-            payload = run_experiment(ExperimentConfig(jobs=jobs, **cfg))
+        for _ in range(3):
+            payload = run_experiment(ExperimentConfig(**cfg))
             payload.pop("timings")
-            payload["config"].pop("jobs", None)
             texts.append(dumps_canonical(payload))
         assert texts[0] == texts[1] == texts[2]
 
@@ -375,6 +379,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_h_and_sweep_h_together_rejected(self, diamond_file, capsys):
+        rc = cli_main(
+            ["bounds", "--network", diamond_file, "--h", "1", "--sweep-h", "2"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_runtime_needs_no_scipy(self, tmp_path):
+        net = tmp_path / "grid.uai"
+        net.write_text(network_text(grid_network(3, 3, 0)))
+        evid = tmp_path / "grid.evid"
+        evid.write_text("2\n4 1\n8 0\n")
+        src = str(Path(beliefbounds.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # importing scipy (or any submodule) fails once its entry is None
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from beliefbounds.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        for plugin in ("bf", "abdp"):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-c", code, "compare",
+                    "--network", str(net), "--evidence", str(evid),
+                    "--sweep-h", "0,1,2", "--plugin", plugin, "--oracle", "on",
+                ],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert len(proc.stdout.splitlines()) == 4
 
     def test_file_outputs(self, diamond_file, tmp_path, capsys):
         out_json = tmp_path / "cli.json"
