@@ -44,7 +44,6 @@ class EngineInputs:
     s: float
     r: float
     pe_terms: tuple[float, ...]
-    priors: tuple[float, ...]
     active_mass: dict[int, np.ndarray]
     tables: tuple[PartialTupleBounds, ...]
     cutset_pos: dict[int, int]
@@ -182,7 +181,6 @@ def prepare_inputs(
         s=s,
         r=r,
         pe_terms=pe_terms,
-        priors=priors,
         active_mass=active_mass,
         tables=tables,
         cutset_pos=cutset_pos,

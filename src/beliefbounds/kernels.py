@@ -1,29 +1,32 @@
-"""Kernel selection: compiled extension when available, numpy fallback otherwise.
+"""The bucket-contraction kernel: the inner loop of bucket elimination.
 
-Set BELIEFBOUNDS_PURE_KERNELS=1 to force the fallback (used by the benchmark
-and by tests that compare both implementations).
+Given flat float64 factor tables and, per table, an integer gather map of
+length n_out*n_sum, ``contract_bucket`` computes
+
+    out[p] = sum_s  prod_f  table_f[gather_f[p*n_sum + s]]
+
+i.e. an elementwise product of the gathered tables followed by a sum over the
+trailing n_sum block.
 """
 
 from __future__ import annotations
 
-import os
+import types
 
-from . import _kernels_py
+import numpy as np
 
-pure = _kernels_py
+#: There is one kernel, in numpy; nothing is compiled.
+COMPILED = False
 
-try:
-    from . import _kernels as _compiled
-except ImportError:
-    _compiled = None
 
-compiled = _compiled
+def contract_bucket(tables, gathers, n_out: int, n_sum: int) -> np.ndarray:
+    prod = tables[0][gathers[0]]
+    for t, g in zip(tables[1:], gathers[1:]):
+        prod = prod * t[g]
+    if n_sum == 1:
+        return prod.reshape(n_out).copy()
+    return prod.reshape(n_out, n_sum).sum(axis=1)
 
-if os.environ.get("BELIEFBOUNDS_PURE_KERNELS") == "1" or _compiled is None:
-    active = _kernels_py
-    COMPILED = False
-else:
-    active = _compiled
-    COMPILED = True
 
-contract_bucket = active.contract_bucket
+#: The namespace ``exact.eliminate`` calls the kernel through.
+active = types.SimpleNamespace(contract_bucket=contract_bucket)

@@ -165,6 +165,12 @@ class _Tokens:
         self.pos += 1
         return tok
 
+    def end(self, what: str) -> None:
+        """Reject any token left after the last one the format allows."""
+        if self.pos < len(self.items):
+            tok, ln = self.items[self.pos]
+            raise NetworkFormatError(f"line {ln}: unexpected token {tok!r} after {what}")
+
     def next_int(self, what: str) -> int:
         tok, ln = self.next(what)
         try:
@@ -251,6 +257,7 @@ def parse_network(text: str) -> BayesianNetwork:
         )
         shape = tuple(cards[p] for p in parents) + (cards[child],)
         cpts_by_child[child] = Cpt(child=child, parents=parents, table=vals.reshape(shape))
+    toks.end("the last table")
 
     variables = tuple(Variable(i, f"X{i}", cards[i]) for i in range(n))
     bn = BayesianNetwork(variables=variables, cpts=tuple(cpts_by_child[i] for i in range(n)))
@@ -273,6 +280,7 @@ def parse_evidence(text: str) -> Evidence:
         if var in ev:
             raise NetworkFormatError(f"duplicate evidence variable {var}")
         ev[var] = val
+    toks.end(f"{m} evidence pairs")
     return ev
 
 

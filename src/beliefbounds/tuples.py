@@ -10,7 +10,7 @@ partially-instantiated tuple, so actives and partials partition the space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,34 +23,24 @@ EXHAUSTIVE_CAP = 4096
 
 @dataclass
 class ActiveTupleSet:
-    """Ordered distinct full cutset tuples with cached exact sums.
+    """Ordered distinct full cutset tuples with ``pe[i]`` = P(c^i, e).
 
-    ``pe[i]`` caches P(c^i, e). ``priors`` and the per-variable joint tables
-    ``x_tables[var][i, value] = P(value, c^i, e)`` are optional caches a
-    caller may attach; ``prefix`` slices them. The engine only reads the set.
+    The engine only reads the set.
     """
 
     cutset: Cutset
     tuples: tuple[tuple[int, ...], ...]
     pe: np.ndarray
-    priors: np.ndarray | None = None
-    x_tables: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def h(self) -> int:
         return len(self.tuples)
 
     def prefix(self, h: int) -> "ActiveTupleSet":
-        """First-h view; caches are sliced (nested sets share selection order)."""
+        """First-h view (nested sets share selection order)."""
         if h > self.h:
             raise ValueError(f"prefix {h} > h={self.h}")
-        return ActiveTupleSet(
-            cutset=self.cutset,
-            tuples=self.tuples[:h],
-            pe=self.pe[:h],
-            priors=None if self.priors is None else self.priors[:h],
-            x_tables={v: t[:h] for v, t in self.x_tables.items()},
-        )
+        return ActiveTupleSet(cutset=self.cutset, tuples=self.tuples[:h], pe=self.pe[:h])
 
 
 @dataclass(frozen=True)

@@ -243,8 +243,6 @@ class TestPrepareInputs:
         prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
         assert active.tuples == tuples
         np.testing.assert_array_equal(active.pe, pe)
-        assert active.priors is None
-        assert active.x_tables == {}
 
 
 class TestInvocationAccounting:

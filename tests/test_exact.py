@@ -1,12 +1,14 @@
 """Plan-compiled bucket elimination vs independent enumeration oracles."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from beliefbounds import kernels
 from beliefbounds.exact import (
+    DEFAULT_TABLE_CAP,
     ScopeCapError,
     ZeroEvidenceError,
     bucket_eliminate_marginals,
@@ -15,6 +17,7 @@ from beliefbounds.exact import (
     cutset_condition_exact,
     eliminate,
     enumerate_oracle,
+    _plan_for,
 )
 from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable
@@ -61,15 +64,6 @@ class TestEliminate:
         t_ba = eliminate(bn, {}, (b, a))
         np.testing.assert_allclose(t_ab, t_ba.T, atol=0)
         assert t_ab[1, 0] == pytest.approx(brute_event_mass(bn, {a: 1, b: 0}), abs=1e-12)
-
-    def test_explicit_order_changes_nothing(self, rng):
-        for _ in range(10):
-            bn = random_network(rng, n=6)
-            e = random_evidence(rng, bn)
-            free = tuple(v for v in range(bn.n) if v not in e)
-            base = bucket_eliminate_pe(bn, e)
-            perm = tuple(int(v) for v in np.random.default_rng(7).permutation(free))
-            assert bucket_eliminate_pe(bn, e, o=perm) == pytest.approx(base, abs=1e-12)
 
     def test_keep_of_assigned_variable_rejected(self, rng):
         bn = random_network(rng, n=4)
@@ -183,20 +177,54 @@ class TestCutsetConditioning:
                 cutset_condition_exact(bn, {}, cut, max_tuples=2)
 
 
-@pytest.mark.skipif(kernels.compiled is None, reason="extension not built")
-class TestKernelParity:
-    def test_pure_and_compiled_agree(self, rng):
-        for _ in range(25):
-            bn = random_network(rng, n=int(rng.integers(5, 11)))
+class TestKernelSeam:
+    def test_contract_bucket_follows_its_formula(self):
+        # dyadic entries keep every product and sum exact
+        tables = [
+            np.array([0.5, 0.25, 0.125, 0.75]),
+            np.array([2.0, 1.5, 0.5]),
+            np.array([0.25, 1.0]),
+        ]
+        gathers = [
+            np.array([0, 1, 2, 3, 0, 1], dtype=np.int32),
+            np.array([0, 1, 2, 2, 1, 0], dtype=np.int32),
+            np.array([1, 0, 1, 0, 0, 1], dtype=np.int32),
+        ]
+        for n_out, n_sum in ((2, 3), (6, 1)):
+            want = [
+                sum(
+                    math.prod(t[g[p * n_sum + s]] for t, g in zip(tables, gathers))
+                    for s in range(n_sum)
+                )
+                for p in range(n_out)
+            ]
+            got = kernels.contract_bucket(tables, gathers, n_out, n_sum)
+            assert got.shape == (n_out,)
+            np.testing.assert_array_equal(got, want)
+
+    def test_eliminate_contracts_only_through_the_active_kernel(self, rng, monkeypatch):
+        real = kernels.contract_bucket
+        calls = []
+
+        def counting(tables, gathers, n_out, n_sum):
+            calls.append((n_out, n_sum))
+            return real(tables, gathers, n_out, n_sum)
+
+        def bypass(*args):
+            raise AssertionError("contraction bypassed kernels.active")
+
+        for _ in range(10):
+            bn = random_network(rng, n=int(rng.integers(4, 9)))
             e = random_evidence(rng, bn)
             free = [v for v in range(bn.n) if v not in e]
-            keep = tuple(free[:2])
-            a = eliminate(bn, e, keep, impl=kernels.pure)
-            b = eliminate(bn, e, keep, impl=kernels.compiled)
-            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(a)))
-
-    def test_active_kernel_flag_consistent(self):
-        if kernels.COMPILED:
-            assert kernels.active is kernels.compiled
-        else:
-            assert kernels.active is kernels.pure
+            keep = tuple(free[:1])
+            want = eliminate(bn, e, keep)
+            plan = _plan_for(bn, tuple(sorted(e)), keep, DEFAULT_TABLE_CAP)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "active", types.SimpleNamespace(contract_bucket=counting))
+                m.setattr(kernels, "contract_bucket", bypass)
+                got = eliminate(bn, e, keep)
+            np.testing.assert_array_equal(got, want)
+            assert len(calls) == len(plan.steps) + (plan.final is not None)
+            assert calls

@@ -380,6 +380,16 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_trailing_evidence_token_rejected(self, diamond_file, tmp_path, capsys):
+        evid = tmp_path / "extra.evid"
+        evid.write_text("1\n3 1\n0 0\n")
+        rc = cli_main(["bounds", "--network", diamond_file, "--evidence", str(evid), "--h", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3: unexpected token '0'")
+        assert len(captured.err.splitlines()) == 1
+
     def test_h_and_sweep_h_together_rejected(self, diamond_file, capsys):
         rc = cli_main(
             ["bounds", "--network", diamond_file, "--h", "1", "--sweep-h", "2"]

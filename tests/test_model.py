@@ -106,6 +106,11 @@ class TestParse:
         with pytest.raises(NetworkFormatError):
             parse_network(src)
 
+    def test_trailing_token_rejected(self):
+        src = CHAIN_SRC.replace("0.5 0.5 0.1 0.9", "0.5 0.5 0.1 0.9 junk")
+        with pytest.raises(NetworkFormatError, match="line 14: unexpected token 'junk'"):
+            parse_network(src)
+
     def test_cycle_rejected(self):
         src = """BAYES
 2
@@ -141,6 +146,14 @@ class TestEvidence:
     def test_duplicate_variable(self):
         with pytest.raises(NetworkFormatError, match="duplicate"):
             parse_evidence("2\n1 0\n1 1\n")
+
+    def test_trailing_tokens_rejected(self):
+        # one pair declared, two given: the second must not be dropped
+        with pytest.raises(NetworkFormatError, match="line 1: unexpected token '5'"):
+            parse_evidence("1 0 1 5 0")
+        # UAI-2010 layout: a leading sample count shifts every field by one
+        with pytest.raises(NetworkFormatError, match="line 2: unexpected token '1'"):
+            parse_evidence("1\n2 0 1 3 0\n")
 
     def test_validate_range(self):
         bn = parse_network(CHAIN_SRC)

@@ -252,12 +252,8 @@ class TestPrefixViews:
                 break
         m = cut.n_tuples
         active = select_tuples_gibbs(bn, {}, cut, m)
-        active.priors = np.arange(m, dtype=np.float64)
-        active.x_tables = {9: np.arange(2 * m, dtype=np.float64).reshape(m, 2)}
         view = active.prefix(2)
         assert view.tuples == active.tuples[:2]
         np.testing.assert_array_equal(view.pe, active.pe[:2])
-        np.testing.assert_array_equal(view.priors, [0.0, 1.0])
-        assert view.x_tables[9].shape == (2, 2)
         with pytest.raises(ValueError, match="prefix"):
             active.prefix(m + 1)
