@@ -377,10 +377,15 @@ def chain_joint_bounds(
     merged, conflict = merge_assignment({}, _as_pairs(a), extra)
     if conflict:
         return 0.0, 0.0
+    return _chain_bounds(bn, e, merged, float(eliminate(bn, merged, ())), k, iters, tol)
+
+
+def _chain_bounds(bn, e, merged: dict, prior: float, k, iters, tol):
+    """``chain_joint_bounds`` of a conflict-free assignment whose prior mass
+    P(merged) is already known."""
     for var, val in merged.items():
         if var in e and e[var] != val:
             return 0.0, 0.0
-    prior = float(eliminate(bn, merged, ()))
     bf_hi = min(1.0, prior)
     lo_prod, hi_prod = 1.0, 1.0
     ctx = dict(merged)
@@ -430,14 +435,12 @@ class JointBounder:
         self.cutset_vars = tuple(cutset_vars)
         self.invocations = 0
         self._memo: dict = {}
+        self._priors: dict = {}  # loaded by tables_for, taken by _tables
 
     def _free_vars(self, assigned: dict) -> list[int]:
         return [
             v for v in range(self.bn.n) if v not in self.e and v not in assigned
         ]
-
-    def _extension_priors(self, partial: dict, var: int) -> np.ndarray:
-        return np.asarray(eliminate(self.bn, partial, (var,)), dtype=np.float64)
 
     def tuple_tables(self, partial: PartialAssignment) -> PartialTupleBounds:
         """Memoized batched tables: each distinct partial is computed and
@@ -450,6 +453,45 @@ class JointBounder:
             self.invocations += hit.cost
         return hit
 
+    def tables_for(self, partials) -> tuple[PartialTupleBounds, ...]:
+        """``tuple_tables`` of every partial. The priors of those not yet
+        tabled are eliminated first, batched over partials that assign the
+        same variables."""
+        keys = [tuple(p) for p in partials]
+        self._load_priors([k for k in keys if k not in self._memo])
+        try:
+            return tuple(self.tuple_tables(k) for k in keys)
+        finally:
+            self._priors.clear()
+
+    def _load_priors(self, partials) -> None:
+        """Exact prior of each partial and of its one-variable cutset
+        extensions: one elimination per (assigned variables, kept variable)."""
+        groups: dict[tuple[int, ...], dict] = {}
+        for pairs in partials:
+            assigned = dict(pairs)
+            groups.setdefault(tuple(assigned), {})[tuple(assigned.items())] = assigned
+        cset = set(self.cutset_vars)
+        for avars, members in groups.items():
+            n = len(members)
+            rows = list(members.values())
+            batch = {v: np.array([a[v] for a in rows], dtype=np.int64) for v in avars}
+            priors = eliminate(self.bn, batch, ()).reshape(n).tolist()
+            ext = {
+                v: eliminate(self.bn, batch, (v,)).reshape(n, self.bn.cards[v])
+                for v in self._free_vars(rows[0])
+                if v in cset
+            }
+            for i, key in enumerate(members):
+                self._priors[key] = (priors[i], {v: t[i] for v, t in ext.items()})
+
+    def _prior_tables(self, partial: dict) -> tuple[float, dict[int, np.ndarray]]:
+        """(P(partial), {free cutset var: P(partial, var=value) per value})."""
+        key = tuple(partial.items())
+        if key not in self._priors:
+            self._load_priors([key])
+        return self._priors.pop(key)
+
     def _tables(self, partial: dict) -> PartialTupleBounds:
         raise NotImplementedError
 
@@ -458,17 +500,14 @@ class PriorMassBounder(JointBounder):
     name = "bf"
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
-        prior = float(eliminate(self.bn, partial, ()))
+        # extension priors: exact prior of (partial + {v=value})
+        prior, var_prior = self._prior_tables(partial)
         var_low: dict[int, np.ndarray] = {}
         var_high: dict[int, np.ndarray] = {}
-        var_prior: dict[int, np.ndarray] = {}
-        cset = set(self.cutset_vars)
         for v in self._free_vars(partial):
             card = self.bn.cards[v]
             var_low[v] = np.zeros(card)
-            if v in cset:
-                # extension priors: exact prior of (partial + {v=value})
-                var_prior[v] = self._extension_priors(partial, v)
+            if v in var_prior:
                 var_high[v] = np.minimum(var_prior[v], 1.0)
             else:
                 # value-independent prior mass of the tuple itself
@@ -501,12 +540,8 @@ class ChainPropagationBounder(JointBounder):
         self.tol = tol
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
-        prior = float(eliminate(self.bn, partial, ()))
-        cset = set(self.cutset_vars)
+        prior, var_prior = self._prior_tables(partial)
         free = self._free_vars(partial)
-        var_prior = {
-            v: self._extension_priors(partial, v) for v in free if v in cset
-        }
         if prior == 0.0:
             zeros = {v: np.zeros(self.bn.cards[v]) for v in free}
             return PartialTupleBounds(
@@ -517,9 +552,7 @@ class ChainPropagationBounder(JointBounder):
                 var_prior=var_prior,
                 cost=0,
             )
-        jl, jh = chain_joint_bounds(
-            self.bn, self.e, partial, k=self.k, iters=self.iters, tol=self.tol
-        )
+        jl, jh = _chain_bounds(self.bn, self.e, partial, prior, self.k, self.iters, self.tol)
         cond = dict(self.e)
         cond.update(partial)
         mb = propagate_marginal_bounds(
@@ -530,7 +563,7 @@ class ChainPropagationBounder(JointBounder):
         for v in free:
             lo = mb.lows[v] * jl
             hi = mb.highs[v] * jh
-            if v in cset:
+            if v in var_prior:
                 hi = np.minimum(hi, var_prior[v])
             else:
                 hi = np.minimum(hi, prior)

@@ -99,25 +99,11 @@ class BoundsReport:
     timings: dict[str, float]
 
 
-def _tuple_prior(bn: BayesianNetwork, cutset_vars, values) -> float:
-    key = ("tuple-prior", cutset_vars, tuple(values))
-    p = bn._cache.get(key)
-    if p is None:
-        p = float(eliminate(bn, dict(zip(cutset_vars, values)), ()))
-        bn._cache[key] = p
-    return p
-
-
-def _active_row(bn, e_key, e, cutset_vars, values, var) -> np.ndarray:
-    """Exact P(x, c^i, e) for all values of ``var`` under one active tuple."""
-    key = ("xrow", e_key, cutset_vars, tuple(values), var)
-    row = bn._cache.get(key)
-    if row is None:
-        assigned = dict(e)
-        assigned.update(zip(cutset_vars, values))
-        row = np.asarray(eliminate(bn, assigned, (var,)), dtype=np.float64)
-        bn._cache[key] = row
-    return row
+def _per_tuple(bn: BayesianNetwork, assigned: dict, keep: tuple[int, ...], h: int):
+    """``eliminate`` over a batch of h tuples, as an (h, *keep cards) array.
+    An empty cutset assigns no array, so its one tuple's table gains the axis."""
+    out = eliminate(bn, assigned, keep)
+    return out.reshape((h,) + tuple(bn.cards[v] for v in keep))
 
 
 def prepare_inputs(
@@ -129,13 +115,18 @@ def prepare_inputs(
     """Exact sums over the active set plus plug-in tables over the partials."""
     c = active.cutset if active.cutset.cards else active.cutset.with_cards(bn)
     tree = build_truncated_tree(c, active)
-    e_key = tuple(sorted(e.items()))
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     pe_terms = tuple(float(p) for p in active.pe)
     s = math.fsum(pe_terms)
-    priors = tuple(_tuple_prior(bn, c.vars, t) for t in active.tuples)
+    # every active tuple assigns the same variables: one batched elimination
+    # per kept variable serves them all (the cutset value wins over evidence)
+    h = active.h
+    columns = np.array(active.tuples, dtype=np.int64).reshape(h, len(c.vars)).T
+    tuple_values = dict(zip(c.vars, columns))
+    with_evidence = {**e, **tuple_values}
+    priors = _per_tuple(bn, tuple_values, (), h).tolist() if h else []
     r = 0.0 if tree.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
 
     cutset_pos = {v: k for k, v in enumerate(c.vars)}
@@ -152,19 +143,16 @@ def prepare_inputs(
                     pe_terms[i] for i, t in enumerate(active.tuples) if t[k] == val
                 )
             active_mass[var] = mass
+        elif h:
+            rows = _per_tuple(bn, with_evidence, (var,), h)
+            active_mass[var] = np.array([math.fsum(col) for col in rows.T.tolist()])
         else:
-            rows = [
-                _active_row(bn, e_key, e, c.vars, t, var) for t in active.tuples
-            ]
-            active_mass[var] = np.array(
-                [math.fsum(float(row[x]) for row in rows) for x in range(card)]
-            )
+            active_mass[var] = np.zeros(card)
     timings["exact_sums"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tables = tuple(
-        bounder.tuple_tables(tuple(zip(c.vars[: len(vals)], vals)))
-        for vals in tree.partials
+    tables = bounder.tables_for(
+        [tuple(zip(c.vars[: len(vals)], vals)) for vals in tree.partials]
     )
     timings["plugin"] = time.perf_counter() - t0
 

@@ -6,6 +6,9 @@ intermediate-table layout and the gather index maps for each contraction
 step. Executing a plan with concrete assigned values only slices the leaf
 CPTs and runs the contraction kernel per step, so repeated queries over the
 same structure (e.g. thousands of cutset tuples) avoid all symbolic work.
+Assigned values may also be equal-length integer arrays: one execution then
+evaluates the whole batch of assignments along a leading axis, with every
+entry equal to what the one-assignment call gives.
 
 Evidence is absorbed by slicing CPTs before elimination — no zero-padded
 indicator factors, so buckets stay as small as possible.
@@ -13,8 +16,10 @@ indicator factors, so buckets stay as small as possible.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +33,10 @@ DEFAULT_TABLE_CAP = 2**22
 #: Largest joint state space the enumeration oracle accepts.
 ORACLE_STATE_CAP = 2**20
 
+#: Largest bucket grid whose cell indices are kept for reuse between plans
+#: (at most 128 grids are kept).
+_CELLS_CACHED = 2**10
+
 
 class ScopeCapError(RuntimeError):
     """An elimination step would exceed the configured table cap."""
@@ -37,43 +46,36 @@ class ZeroEvidenceError(ValueError):
     """Posterior queries are undefined: P(e) = 0."""
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     factor_slots: tuple[int, ...]
     gathers: tuple[np.ndarray, ...]  # int32, len n_out*n_sum each
     n_out: int
     n_sum: int
-    out_vars: tuple[int, ...]
     out_slot: int
 
 
-@dataclass(frozen=True)
-class _Plan:
-    leaf_specs: tuple  # (cpt child id, slice index template, free vars) per non-scalar leaf
-    scalar_leaves: tuple  # (cpt child id, slice index template) with no free axes
+class _Plan(NamedTuple):
+    leaves: tuple  # flat CPT per leaf slot with nothing assigned, None where sliced
+    # (slot, CPT view with its assigned axes first, assigned vars, number of
+    # free axes) per leaf that is sliced by the assigned values
+    sliced: tuple
+    scalar_leaves: tuple  # (CPT table, scope) of CPTs with every axis assigned
     steps: tuple[_Step, ...]
     final: _Step | None
     keep: tuple[int, ...]
     n_slots: int
+    peak: int  # largest entry count of one step
 
 
-def _value_grids(order: tuple[int, ...], cards, n_out: int) -> dict[int, np.ndarray]:
-    grids: dict[int, np.ndarray] = {}
-    suffix = n_out
-    base = np.arange(n_out, dtype=np.int64)
-    for v in order:
-        suffix //= cards[v]
-        grids[v] = (base // suffix) % cards[v]
-    return grids
+def _cells(grid: tuple[int, ...]) -> np.ndarray:
+    """Row-major multi-indices of every cell of a grid, one row per axis."""
+    cells = np.indices(grid, dtype=np.int32).reshape(len(grid), math.prod(grid))
+    cells.flags.writeable = False
+    return cells
 
 
-def _factor_strides(fvars: tuple[int, ...], cards) -> dict[int, int]:
-    strides: dict[int, int] = {}
-    acc = 1
-    for v in reversed(fvars):
-        strides[v] = acc
-        acc *= cards[v]
-    return strides
+#: Small grids recur across plans; their cells are shared read-only.
+_small_cells = functools.lru_cache(maxsize=128)(_cells)
 
 
 def _gather_maps(
@@ -82,21 +84,23 @@ def _gather_maps(
     summed: tuple[int, ...],
     cards,
 ) -> tuple[tuple[np.ndarray, ...], int, int]:
-    n_out = math.prod(cards[v] for v in out_vars) if out_vars else 1
-    n_sum = math.prod(cards[v] for v in summed) if summed else 1
-    out_grids = _value_grids(out_vars, cards, n_out)
-    sum_grids = _value_grids(summed, cards, n_sum)
-    gathers = []
-    for fvars in bucket_vars:
-        strides = _factor_strides(fvars, cards)
-        idx = np.zeros((n_out, n_sum), dtype=np.int64)
-        for v in fvars:
-            if v in out_grids:
-                idx += strides[v] * out_grids[v][:, None]
-            else:
-                idx += strides[v] * sum_grids[v][None, :]
-        gathers.append(np.ascontiguousarray(idx.reshape(-1), dtype=np.int32))
-    return tuple(gathers), n_out, n_sum
+    """Per factor, the flat index of its entry at every (out, summed) cell:
+    the cells' multi-indices dotted with the factor's strides (0 for the
+    axes it lacks)."""
+    axes = out_vars + summed
+    grid = tuple(cards[v] for v in axes)
+    n_out = math.prod(grid[: len(out_vars)])
+    n_sum = math.prod(grid[len(out_vars):])
+    pos = {v: i for i, v in enumerate(axes)}
+    strides = [[0] * len(axes) for _ in bucket_vars]
+    for row, fvars in zip(strides, bucket_vars):
+        acc = 1
+        for v in reversed(fvars):
+            row[pos[v]] = acc
+            acc *= cards[v]
+    cells = _small_cells(grid) if n_out * n_sum <= _CELLS_CACHED else _cells(grid)
+    flat = np.array(strides, dtype=np.int32).reshape(len(bucket_vars), len(axes)) @ cells
+    return tuple(flat), n_out, n_sum
 
 
 def _build_plan(
@@ -111,78 +115,77 @@ def _build_plan(
         raise ValueError("kept variables must not be assigned")
     cards = bn.cards
 
-    leaf_specs = []
+    leaves = []
+    sliced = []
     scalar_leaves = []
     live: list[tuple[tuple[int, ...], int]] = []  # (free vars, slot)
-    slot_count = 0
     for cpt in bn.cpts:
         scope = cpt.parents + (cpt.child,)
-        template = tuple("slice" if v not in assigned_set else v for v in scope)
+        table = np.asarray(cpt.table, dtype=np.float64)
         free = tuple(v for v in scope if v not in assigned_set)
-        if free:
-            leaf_specs.append((cpt.child, template, free))
-            live.append((free, slot_count))
-            slot_count += 1
+        if not free:
+            scalar_leaves.append((table, scope))
+            continue
+        if len(free) == len(scope):
+            leaves.append(np.ascontiguousarray(table).reshape(-1))
         else:
-            scalar_leaves.append((cpt.child, template))
+            fixed = tuple(v for v in scope if v in assigned_set)
+            axes = sorted(range(len(scope)), key=lambda i: scope[i] not in assigned_set)
+            sliced.append((len(leaves), table.transpose(axes), fixed, len(free)))
+            leaves.append(None)
+        live.append((free, len(live)))
+    slot_count = len(live)
 
     elim = [v for v in range(bn.n) if v not in assigned_set and v not in keep_set]
     seq = _min_fill_sequence(live, elim, keep, cards)
 
     steps: list[_Step] = []
+    peak = 1
     for v in seq:
-        bucket = [(fv, slot) for fv, slot in live if v in fv]
+        bucket = [f for f in live if v in f[0]]
         if not bucket:
             continue
-        out_vars = tuple(sorted({u for fv, _ in bucket for u in fv} - {v}))
+        live = [f for f in live if v not in f[0]]
+        out_vars = tuple(sorted({u for fv, _ in bucket for u in fv if u != v}))
+        size = math.prod([cards[u] for u in out_vars]) * cards[v]
+        if size > cap:
+            raise ScopeCapError(f"bucket for variable {v} needs {size} entries (cap {cap})")
+        peak = max(peak, size)
         gathers, n_out, n_sum = _gather_maps([fv for fv, _ in bucket], out_vars, (v,), cards)
-        if n_out * n_sum > cap:
-            raise ScopeCapError(
-                f"bucket for variable {v} needs {n_out * n_sum} entries (cap {cap})"
-            )
-        out_slot = slot_count
+        steps.append(_Step(tuple(slot for _, slot in bucket), gathers, n_out, n_sum, slot_count))
+        live.append((out_vars, slot_count))
         slot_count += 1
-        steps.append(
-            _Step(
-                factor_slots=tuple(slot for _, slot in bucket),
-                gathers=gathers,
-                n_out=n_out,
-                n_sum=n_sum,
-                out_vars=out_vars,
-                out_slot=out_slot,
-            )
-        )
-        live = [(fv, slot) for fv, slot in live if v not in fv]
-        live.append((out_vars, out_slot))
 
     final = None
     if live:
-        for fv, _ in live:
-            if not set(fv) <= keep_set:
-                raise AssertionError("factor escaped elimination")
-        gathers, n_out, n_sum = _gather_maps([fv for fv, _ in live], keep, (), cards)
-        if n_out > cap:
-            raise ScopeCapError(f"output table needs {n_out} entries (cap {cap})")
-        final = _Step(
-            factor_slots=tuple(slot for _, slot in live),
-            gathers=gathers,
-            n_out=n_out,
-            n_sum=1,
-            out_vars=keep,
-            out_slot=-1,
-        )
+        if any(u not in keep_set for fv, _ in live for u in fv):
+            raise AssertionError("factor escaped elimination")
+        size = math.prod([cards[u] for u in keep])
+        if size > cap:
+            raise ScopeCapError(f"output table needs {size} entries (cap {cap})")
+        peak = max(peak, size)
+        gathers, n_out, _ = _gather_maps([fv for fv, _ in live], keep, (), cards)
+        final = _Step(tuple(slot for _, slot in live), gathers, n_out, 1, -1)
     return _Plan(
-        leaf_specs=tuple(leaf_specs),
+        leaves=tuple(leaves),
+        sliced=tuple(sliced),
         scalar_leaves=tuple(scalar_leaves),
         steps=tuple(steps),
         final=final,
         keep=keep,
         n_slots=slot_count,
+        peak=peak,
     )
 
 
 def _min_fill_sequence(live, elim, keep, cards) -> list[int]:
-    """Min-fill over the factor interaction graph; kept variables stay."""
+    """Min-fill over the factor interaction graph; kept variables stay.
+
+    Eliminates, at each step, the variable with the smallest (fill edges,
+    degree, id). Keys are kept per variable and updated where elimination
+    changes them: the eliminated variable's neighbours are scored again, and
+    a variable next to both ends of a new fill edge has one pair fewer to fill.
+    """
     adj: dict[int, set[int]] = {v: set() for v in elim}
     for v in keep:
         adj.setdefault(v, set())
@@ -191,29 +194,46 @@ def _min_fill_sequence(live, elim, keep, cards) -> list[int]:
             for b in fv:
                 if a != b:
                     adj.setdefault(a, set()).add(b)
-    remaining = set(elim)
+
+    def key(v):
+        nbrs = adj[v]
+        d = len(nbrs)
+        # ordered pairs of neighbours, less those already adjacent
+        missing = d * (d - 1) - sum(map(len, map(nbrs.intersection, map(adj.get, nbrs))))
+        return (missing // 2, d, v)
+
+    keys = {v: key(v) for v in elim}
+    heap = list(keys.values())
+    heapq.heapify(heap)
     seq = []
-    while remaining:
-        best, best_key = None, None
-        for v in sorted(remaining):
-            nbrs = [u for u in adj[v] if u in remaining or u in set(keep)]
-            fill = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in adj[nbrs[i]]:
-                        fill += 1
-            key = (fill, len(nbrs))
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        nbrs = [u for u in adj[best] if u != best]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
+    while keys:
+        entry = heapq.heappop(heap)
+        best = entry[2]
+        if keys.get(best) != entry:
+            continue  # stale: the variable was rescored or already eliminated
+        del keys[best]
+        seq.append(best)
+        nbrs = adj.pop(best)
         for u in nbrs:
             adj[u].discard(best)
-        remaining.discard(best)
-        seq.append(best)
+        filled: dict[int, int] = {}
+        for u in nbrs:
+            for w in nbrs - adj[u]:
+                if u < w:  # each new edge u-w once (excludes u itself)
+                    for x in adj[u] & adj[w]:
+                        filled[x] = filled.get(x, 0) + 1
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u].discard(u)
+        for x, n in filled.items():
+            if x in keys and x not in nbrs:
+                fill, deg, _ = keys[x]
+                keys[x] = (fill - n, deg, x)
+                heapq.heappush(heap, keys[x])
+        for u in nbrs:
+            if u in keys:
+                keys[u] = key(u)
+                heapq.heappush(heap, keys[u])
     return seq
 
 
@@ -236,38 +256,55 @@ def eliminate(
 
     Returns the table of unnormalized values P(keep values, assignments) with
     axes in ``keep`` order (0-d array when keep is empty). ``assignments`` is
-    a mapping var -> value absorbed by CPT slicing.
+    a mapping var -> value absorbed by CPT slicing. Values may be ints or
+    equal-length 1-D integer arrays; with arrays the table gains a leading
+    batch axis whose row i is the table of the i-th assignment.
     """
+    assign = dict(assignments)
+    plan = _plan_for(bn, tuple(sorted(assign)), tuple(keep), cap)
+    batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
+    lengths = {assign[v].shape for v in batched}
+    if len(lengths) > 1 or any(len(shape) > 1 for shape in lengths):
+        raise ValueError(f"batched values must be 1-D arrays of one length, got {lengths}")
+    n = lengths.pop()[0] if lengths else 0
+    # a batch runs in chunks whose every step stays within the table cap
+    chunk = max(1, cap // plan.peak)
+    if n <= chunk:
+        return _execute(bn, plan, assign)
+    parts = [
+        _execute(bn, plan, {**assign, **{v: assign[v][i:i + chunk] for v in batched}})
+        for i in range(0, n, chunk)
+    ]
+    return np.concatenate(parts)
+
+
+def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict) -> np.ndarray:
     # looked up per call, not bound at import, so that a stand-in (such as
     # the benchmark's counting proxy) swapped into kernels.active sees every
     # contraction
     contract = kernels.active.contract_bucket
-    assign = dict(assignments)
-    assigned_vars = tuple(sorted(assign))
-    plan = _plan_for(bn, assigned_vars, tuple(keep), cap)
-
-    slots: list = [None] * plan.n_slots
-    # leaf slot i corresponds to the i-th entry of plan.leaf_specs
-    for i, (child, template, _free) in enumerate(plan.leaf_specs):
-        idx = tuple(slice(None) if t == "slice" else assign[t] for t in template)
-        slots[i] = np.ascontiguousarray(bn.cpts[child].table[idx], dtype=np.float64).reshape(-1)
+    slots = list(plan.leaves) + [None] * (plan.n_slots - len(plan.leaves))
+    # assigned axes come first, so batched values put the batch axis in front
+    for i, table, fixed, n_free in plan.sliced:
+        t = table[tuple(assign[v] for v in fixed)]
+        slots[i] = t.reshape(t.shape[: t.ndim - n_free] + (-1,))
     const = 1.0
-    for child, template in plan.scalar_leaves:
-        idx = tuple(slice(None) if t == "slice" else assign[t] for t in template)
-        const *= float(bn.cpts[child].table[idx])
+    for table, scope in plan.scalar_leaves:
+        const = const * table[tuple(assign[v] for v in scope)]
 
     for step in plan.steps:
         tables = [slots[s] for s in step.factor_slots]
         slots[step.out_slot] = contract(tables, step.gathers, step.n_out, step.n_sum)
 
+    shape = tuple(bn.cards[v] for v in plan.keep)
     if plan.final is None:
         out = np.array(1.0)
     else:
         tables = [slots[s] for s in plan.final.factor_slots]
         flat = contract(tables, plan.final.gathers, plan.final.n_out, 1)
-        out = flat.reshape(tuple(bn.cards[v] for v in plan.keep))
-    if const != 1.0:
-        out = out * const
+        out = flat.reshape(flat.shape[:-1] + shape)
+    if plan.scalar_leaves:  # a batch of constants multiplies row by row
+        out = out * np.reshape(const, np.shape(const) + (1,) * len(shape))
     return out
 
 

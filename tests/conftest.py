@@ -343,6 +343,69 @@ def reference_greedy_lp(lp: BlanketLp, sense: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# exact-layer references: the one-assignment-at-a-time forms the batched and
+# incremental code must reproduce bit for bit
+
+def reference_min_fill_sequence(live, elim, keep, cards) -> list[int]:
+    """Min-fill that rescans every remaining variable at every step: the
+    order ``exact._min_fill_sequence`` must return."""
+    adj: dict[int, set[int]] = {v: set() for v in elim}
+    for v in keep:
+        adj.setdefault(v, set())
+    for fv, _ in live:
+        for a in fv:
+            for b in fv:
+                if a != b:
+                    adj.setdefault(a, set()).add(b)
+    remaining = set(elim)
+    seq = []
+    while remaining:
+        best, best_key = None, None
+        for v in sorted(remaining):
+            nbrs = [u for u in adj[v] if u in remaining or u in set(keep)]
+            fill = 0
+            for i in range(len(nbrs)):
+                for j in range(i + 1, len(nbrs)):
+                    if nbrs[j] not in adj[nbrs[i]]:
+                        fill += 1
+            key = (fill, len(nbrs))
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        nbrs = [u for u in adj[best] if u != best]
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        for u in nbrs:
+            adj[u].discard(best)
+        remaining.discard(best)
+        seq.append(best)
+    return seq
+
+
+def reference_exact_sums(bn: BayesianNetwork, e, active):
+    """(tuple priors, active mass of every unobserved non-cutset variable)
+    with one scalar ``eliminate`` per tuple and per (tuple, variable), as
+    ``engine.prepare_inputs`` computed them before it batched over tuples
+    (a cutset value overrides the evidence on a shared variable)."""
+    cvars = active.cutset.vars
+    priors = [float(eliminate(bn, dict(zip(cvars, t)), ())) for t in active.tuples]
+    mass = {}
+    for var in range(bn.n):
+        if var in e or var in cvars:
+            continue
+        rows = []
+        for t in active.tuples:
+            assigned = dict(e)
+            assigned.update(zip(cvars, t))
+            rows.append(np.asarray(eliminate(bn, assigned, (var,)), dtype=np.float64))
+        mass[var] = np.array(
+            [math.fsum(float(row[x]) for row in rows) for x in range(bn.cards[var])]
+        )
+    return priors, mass
+
+
+# ---------------------------------------------------------------------------
 # exact plug-in double for assembly arithmetic tests
 
 class ExactBounder(JointBounder):

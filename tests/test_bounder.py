@@ -19,7 +19,10 @@ from beliefbounds.bounder import (
     propagate_marginal_bounds,
     solve_blanket_lp_greedy,
 )
+from beliefbounds.exact import eliminate
+from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable, relevant_keep_set
+from beliefbounds.tuples import build_truncated_tree, select_tuples_gibbs
 
 from conftest import (
     BlanketLpInfeasible,
@@ -427,6 +430,35 @@ class TestBounderPlugins:
         assert all(t is tabs[0] for t in tabs)
         b.tuple_tables(((cvars[0], 1),))
         assert b.invocations == 2
+
+    def test_batched_priors_equal_one_partial_eliminations(self, rng):
+        # tables_for eliminates the priors of all partials of one depth at
+        # once; every float must be the one a lone elimination gives
+        checked = 0
+        while checked < 5:
+            bn = random_network(rng, n=int(rng.integers(5, 9)), zero_rows=True)
+            e = random_evidence(rng, bn)
+            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+            if cut.size < 2:
+                continue
+            checked += 1
+            active = select_tuples_gibbs(bn, e, cut, min(2, cut.n_tuples))
+            partials = [
+                tuple(zip(cut.vars[: len(vals)], vals))
+                for vals in build_truncated_tree(cut, active).partials
+            ]
+            for kind in ("bf", "abdp"):
+                b = make_bounder(kind, bn, e, cut.vars, k=64, iters=2)
+                for partial, tab in zip(partials, b.tables_for(partials)):
+                    assigned = dict(partial)
+                    assert tab.prior == float(eliminate(bn, assigned, ()))
+                    assert sorted(tab.var_prior) == [
+                        v for v in cut.vars if v not in assigned and v not in e
+                    ]
+                    for v, row in tab.var_prior.items():
+                        assert np.array_equal(row, eliminate(bn, assigned, (v,)))
+                    if kind == "abdp" and tab.prior > 0.0:
+                        assert tab.joint == chain_joint_bounds(bn, e, partial, k=64, iters=2)
 
     def test_factory(self, rng):
         bn, e, cvars = self._setting(rng)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import beliefbounds.bounder as bounder_mod
+import beliefbounds.engine as engine_mod
 from beliefbounds.bounder import JointBounder, PartialTupleBounds, make_bounder
 from beliefbounds.engine import (
     bounded_conditioning_bounds,
@@ -18,12 +20,18 @@ from beliefbounds.engine import (
     remainder_interval_bound,
     run_engine,
 )
-from beliefbounds.exact import enumerate_oracle
+from beliefbounds.exact import conditioned_joint, enumerate_oracle
 from beliefbounds.graphs import Cutset, find_loop_cutset
-from beliefbounds.model import BayesianNetwork, Cpt, Variable
-from beliefbounds.tuples import select_tuples_gibbs
+from beliefbounds.model import BayesianNetwork, Cpt, Variable, assignment_tuples
+from beliefbounds.tuples import ActiveTupleSet, select_tuples_gibbs
 
-from conftest import ExactBounder, random_evidence, random_network
+from conftest import (
+    ExactBounder,
+    random_evidence,
+    random_network,
+    random_tree_network,
+    reference_exact_sums,
+)
 
 
 def _diamond():
@@ -145,8 +153,6 @@ class TestSaturation:
                         assert lo == pytest.approx(post[var][val], abs=1e-9)
 
     def test_empty_cutset_saturates_at_one_tuple(self, rng):
-        from conftest import random_tree_network
-
         bn = random_tree_network(rng, 6)
         e = {5: 0}
         pe, post = enumerate_oracle(bn, e)
@@ -159,8 +165,6 @@ class TestSaturation:
                 assert lo == pytest.approx(post[var][val], abs=1e-9)
 
     def test_empty_cutset_h_zero_is_the_whole_space(self, rng):
-        from conftest import random_tree_network
-
         bn = random_tree_network(rng, 5)
         rep = run_engine(bn, {4: 0}, h=0, plugin="bf")
         assert rep.m == 1 and rep.h == 0 and rep.m_prime == 1
@@ -243,6 +247,91 @@ class TestPrepareInputs:
         prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
         assert active.tuples == tuples
         np.testing.assert_array_equal(active.pe, pe)
+
+    @staticmethod
+    def _matches_per_tuple_reference(bn, e, active):
+        inputs = prepare_inputs(bn, e, active, make_bounder("bf", bn, e, active.cutset.vars))
+        priors, mass = reference_exact_sums(bn, e, active)
+        r = 0.0 if inputs.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
+        assert inputs.r == r
+        for var, want in mass.items():
+            assert np.array_equal(inputs.active_mass[var], want)
+        return inputs
+
+    def test_batched_sums_equal_per_tuple_sums(self, rng):
+        for _ in range(12):
+            bn = random_network(rng, n=int(rng.integers(4, 10)), zero_rows=True)
+            e = random_evidence(rng, bn)
+            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+            for h in sorted({0, 1, cut.n_tuples // 2, cut.n_tuples}):
+                self._matches_per_tuple_reference(bn, e, select_tuples_gibbs(bn, e, cut, h))
+
+    def test_empty_cutset_one_tuple(self, rng):
+        bn = random_tree_network(rng, 6)
+        e = {5: 1}
+        cut = Cutset(vars=()).with_cards(bn)
+        active = select_tuples_gibbs(bn, e, cut, 1)
+        assert active.tuples == ((),)
+        inputs = self._matches_per_tuple_reference(bn, e, active)
+        assert inputs.m_prime == 0
+
+    def test_cutset_value_overrides_shared_evidence(self, rng):
+        bn = _diamond()
+        e = {3: 1, 2: 0}
+        cut = Cutset(vars=(0, 2)).with_cards(bn)  # 2 is also observed
+        tuples = tuple(assignment_tuples(cut.cards))[:3]  # (0, 1) contradicts e
+        pe = np.array([conditioned_joint(bn, {**e, **dict(zip(cut.vars, t))}, {})
+                       for t in tuples])
+        active = ActiveTupleSet(cutset=cut, tuples=tuples, pe=pe)
+        inputs = self._matches_per_tuple_reference(bn, e, active)
+        assert inputs.active_mass[1].sum() == pytest.approx(inputs.s, abs=1e-15)
+
+    def test_one_elimination_per_kept_variable(self, rng, monkeypatch):
+        # the engine batches over active tuples, the bounder over partials
+        # that assign the same cutset prefix
+        calls = {"engine": 0, "bounder": 0}
+
+        def counted(mod, name):
+            real = mod.eliminate
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mod, "eliminate", wrapper)
+
+        counted(engine_mod, "engine")
+        counted(bounder_mod, "bounder")
+        while True:
+            bn = random_network(rng, n=10)
+            e = random_evidence(rng, bn)
+            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+            if cut.size >= 2 and cut.n_tuples >= 3:
+                break
+        active = select_tuples_gibbs(bn, e, cut, 2)
+        inputs = prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
+        free = [v for v in range(bn.n) if v not in e and v not in cut.vars]
+        assert calls["engine"] == 1 + len(free)
+        depths = {len(p) for p in inputs.tree.partials}
+        assert calls["bounder"] == sum(1 + cut.size - d for d in depths)
+
+    def test_new_evidence_values_add_no_cache_entry(self, rng):
+        while True:
+            bn = random_network(rng, n=9)
+            e1 = random_evidence(rng, bn, max_obs=3)
+            cut = find_loop_cutset(bn, exclude=frozenset(e1)).with_cards(bn)
+            if e1 and cut.n_tuples >= 4:
+                break
+        e2 = {v: (x + 1) % bn.cards[v] for v, x in e1.items()}
+        first = select_tuples_gibbs(bn, e1, cut, cut.n_tuples // 2)
+        # the same tuples, so the same partials; only the evidence values move
+        pe = np.array(
+            [conditioned_joint(bn, e2, dict(zip(cut.vars, t))) for t in first.tuples]
+        )
+        second = ActiveTupleSet(cutset=cut, tuples=first.tuples, pe=pe)
+        prepare_inputs(bn, e1, first, make_bounder("bf", bn, e1, cut.vars))
+        size = len(bn._cache)
+        prepare_inputs(bn, e2, second, make_bounder("bf", bn, e2, cut.vars))
+        assert len(bn._cache) == size
 
 
 class TestInvocationAccounting:

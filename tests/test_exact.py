@@ -5,6 +5,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefbounds import kernels
 from beliefbounds.exact import (
@@ -17,6 +19,7 @@ from beliefbounds.exact import (
     cutset_condition_exact,
     eliminate,
     enumerate_oracle,
+    _min_fill_sequence,
     _plan_for,
 )
 from beliefbounds.graphs import find_loop_cutset
@@ -27,6 +30,7 @@ from conftest import (
     brute_posteriors,
     random_evidence,
     random_network,
+    reference_min_fill_sequence,
 )
 
 
@@ -81,6 +85,74 @@ class TestEliminate:
             e = random_evidence(rng, bn, max_obs=2)
             got = bucket_eliminate_pe(bn, e)
             assert got == pytest.approx(brute_event_mass(bn, e), abs=1e-12)
+
+
+class TestBatchedEliminate:
+    @staticmethod
+    def _case(seed, n_keep, batch, zero_rows):
+        """Random network (cards 2-3), scalar evidence, array values on other
+        variables (a batch of assignments) and n_keep kept variables."""
+        rng = np.random.default_rng(seed)
+        bn = random_network(rng, n=int(rng.integers(n_keep + 1, 9)), zero_rows=zero_rows)
+        order = [int(v) for v in rng.permutation(bn.n)]
+        keep, rest = tuple(order[:n_keep]), order[n_keep:]
+        n_arr = int(rng.integers(1, len(rest) + 1))
+        n_ev = int(rng.integers(0, len(rest) - n_arr + 1))
+        arrays = {v: rng.integers(bn.cards[v], size=batch) for v in rest[:n_arr]}
+        e = {v: int(rng.integers(bn.cards[v])) for v in rest[n_arr:n_arr + n_ev]}
+        return bn, e, arrays, keep
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_keep=st.sampled_from([0, 1, 2]),
+        batch=st.sampled_from([1, 2, 5]),
+        zero_rows=st.booleans(),
+    )
+    def test_rows_equal_one_assignment_calls(self, seed, n_keep, batch, zero_rows):
+        bn, e, arrays, keep = self._case(seed, n_keep, batch, zero_rows)
+        got = eliminate(bn, {**e, **arrays}, keep)
+        assert got.shape == (batch,) + tuple(bn.cards[v] for v in keep)
+        for i in range(batch):
+            one = {v: int(a[i]) for v, a in arrays.items()}
+            want = eliminate(bn, {**e, **one}, keep)
+            assert np.array_equal(got[i], want)
+
+    def test_chunks_within_the_cap_change_nothing(self, rng):
+        for seed in range(20):
+            bn, e, arrays, keep = self._case(seed, seed % 3, 7, seed % 2 == 0)
+            assigned = {**e, **arrays}
+            want = eliminate(bn, assigned, keep)
+            peak = _plan_for(bn, tuple(sorted(assigned)), keep, DEFAULT_TABLE_CAP).peak
+            for cap in (peak, 2 * peak + 1):  # chunks of one row, of two rows
+                assert np.array_equal(eliminate(bn, assigned, keep, cap=cap), want)
+
+    def test_unequal_batch_lengths_rejected(self, rng):
+        bn = random_network(rng, n=5)
+        with pytest.raises(ValueError, match="one length"):
+            eliminate(bn, {0: np.array([0, 1]), 1: np.array([1, 0, 1])}, ())
+
+
+class TestMinFill:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 14),
+        n_keep=st.integers(0, 3),
+        density=st.sampled_from([0.15, 0.35, 0.7]),
+    )
+    def test_same_order_as_the_rescanning_reference(self, seed, n, n_keep, density):
+        rng = np.random.default_rng(seed)
+        variables = [int(v) for v in rng.permutation(n)]
+        live = []
+        for slot in range(int(rng.integers(0, 2 * n + 1))):
+            scope = [v for v in variables if rng.random() < density]
+            live.append((tuple(scope), slot))
+        keep = tuple(variables[:min(n_keep, n)])
+        elim = sorted(variables[len(keep):])
+        cards = (2,) * n
+        want = reference_min_fill_sequence(live, elim, keep, cards)
+        assert _min_fill_sequence(live, elim, keep, cards) == want
 
 
 class TestMarginals:
@@ -201,6 +273,15 @@ class TestKernelSeam:
             got = kernels.contract_bucket(tables, gathers, n_out, n_sum)
             assert got.shape == (n_out,)
             np.testing.assert_array_equal(got, want)
+            # a leading batch axis on one table: the others broadcast
+            batched = [np.stack([tables[0], tables[0][::-1]])] + tables[1:]
+            got = kernels.contract_bucket(batched, gathers, n_out, n_sum)
+            assert got.shape == (2, n_out)
+            np.testing.assert_array_equal(got[0], want)
+            flipped = [batched[0][1]] + tables[1:]
+            np.testing.assert_array_equal(
+                got[1], kernels.contract_bucket(flipped, gathers, n_out, n_sum)
+            )
 
     def test_eliminate_contracts_only_through_the_active_kernel(self, rng, monkeypatch):
         real = kernels.contract_bucket
