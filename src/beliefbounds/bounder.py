@@ -28,6 +28,7 @@ from .model import (
     Evidence,
     PartialAssignment,
     ancestors_of,
+    held_bytes,
     merge_assignment,
 )
 
@@ -198,7 +199,7 @@ def _boundary_structure(
     domain = math.prod(bn.cards[v] for v in boundary) if boundary else 1
     if domain > k:
         out = {"skip": True}
-        bn._cache[key] = out
+        bn._cache.put(key, out, held_bytes([]))
         return out
 
     unobs = tuple(sorted(v for v in boundary if v not in e))
@@ -254,7 +255,9 @@ def _boundary_structure(
         "coeffs": coeffs,
         "tables": tables,
     }
-    bn._cache[key] = out
+    arrays = [coeffs, *cols.values()]
+    arrays += [best for c in tables for side in (c[1], c[3]) for best, _ in side]
+    bn._cache.put(key, out, held_bytes(arrays))
     return out
 
 

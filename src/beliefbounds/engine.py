@@ -179,44 +179,52 @@ def prepare_inputs(
 # ---------------------------------------------------------------------------
 # generic assembly
 
-def _partial_terms(inputs: EngineInputs, var: int, value: int):
-    """Per-partial contributions (NL, den_term, NU, oL) for one query value.
+def _partial_terms(inputs: EngineInputs, var: int):
+    """Per-partial contributions (NL, den_term, NU, oL) for every query value
+    of ``var``: one tuple of four lists per value.
 
     NL/NU bound the mass of the partial that lands on the query value;
     den_term is the lower-denominator cap min(NL + other-upper, tuple upper);
-    oL lower-bounds the mass on the other values.
+    oL lower-bounds the mass on the other values. The sums over a partial's
+    extension table are taken once and serve every value.
     """
     k = inputs.cutset_pos.get(var)
-    nls, terms, nus, ols = [], [], [], []
+    values = range(inputs.bn.cards[var])
+    per_value = [([], [], [], []) for _ in values]
     for vals, tab in zip(inputs.tree.partials, inputs.tables):
         jl, ju = tab.joint
         if k is not None and k < len(vals):
-            if vals[k] == value:
-                nls.append(jl)
-                terms.append(jl)
-                nus.append(ju)
-                ols.append(0.0)
-            else:
-                nls.append(0.0)
-                terms.append(ju)
-                nus.append(0.0)
-                ols.append(jl)
+            for value, (nls, terms, nus, ols) in zip(values, per_value):
+                if vals[k] == value:
+                    nls.append(jl)
+                    terms.append(jl)
+                    nus.append(ju)
+                    ols.append(0.0)
+                else:
+                    nls.append(0.0)
+                    terms.append(ju)
+                    nus.append(0.0)
+                    ols.append(jl)
             continue
         lows = tab.var_low[var]
         highs = tab.var_high[var]
-        nl = float(lows[value])
-        ou = float(highs.sum() - highs[value])
-        nls.append(nl)
-        terms.append(min(nl + ou, ju))
-        nus.append(min(float(highs[value]), ju))
-        ols.append(float(lows.sum() - lows[value]))
-    return nls, terms, nus, ols
+        low_sum = lows.sum()
+        high_sum = highs.sum()
+        for value, (nls, terms, nus, ols) in zip(values, per_value):
+            nl = float(lows[value])
+            ou = float(high_sum - highs[value])
+            nls.append(nl)
+            terms.append(min(nl + ou, ju))
+            nus.append(min(float(highs[value]), ju))
+            ols.append(float(low_sum - lows[value]))
+    return per_value
 
 
-def _assemble_value(inputs, var: int, value: int):
-    """Returns (L, U, degenerate, clamp_events) for one (variable, value)."""
+def _assemble_value(inputs, var: int, value: int, parts):
+    """Returns (L, U, degenerate, clamp_events) for one (variable, value)
+    from that value's ``_partial_terms`` entry."""
     s_val = float(inputs.active_mass[var][value])
-    nls, terms, nus, ols = _partial_terms(inputs, var, value)
+    nls, terms, nus, ols = parts
     num_l = math.fsum([s_val] + nls)
     den_l = math.fsum([inputs.s] + terms)
     num_u = math.fsum([s_val] + nus)
@@ -241,7 +249,8 @@ def _marginal_table(inputs: EngineInputs, var: int):
     hit = inputs._marg_cache.get(var)
     if hit is None:
         hit = tuple(
-            _assemble_value(inputs, var, x) for x in range(inputs.bn.cards[var])
+            _assemble_value(inputs, var, x, parts)
+            for x, parts in enumerate(_partial_terms(inputs, var))
         )
         inputs._marg_cache[var] = hit
     return hit

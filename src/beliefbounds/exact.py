@@ -6,9 +6,12 @@ intermediate-table layout and the gather index maps for each contraction
 step. Executing a plan with concrete assigned values only slices the leaf
 CPTs and runs the contraction kernel per step, so repeated queries over the
 same structure (e.g. thousands of cutset tuples) avoid all symbolic work.
-Assigned values may also be equal-length integer arrays: one execution then
-evaluates the whole batch of assignments along a leading axis, with every
-entry equal to what the one-assignment call gives.
+A plan takes only the CPTs of the assigned and kept variables and of their
+ancestors: every other variable is barren (its bucket sums to one), so the
+elimination covers the ancestral part of the network alone. Assigned values
+may also be equal-length integer arrays: one execution then evaluates the
+whole batch of assignments along a leading axis, with every entry equal to
+what the one-assignment call gives.
 
 Evidence is absorbed by slicing CPTs before elimination — no zero-padded
 indicator factors, so buckets stay as small as possible.
@@ -24,7 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .model import BayesianNetwork, Evidence, PartialAssignment, merge_assignment
+from .model import (
+    BayesianNetwork,
+    Evidence,
+    PartialAssignment,
+    ancestors_of,
+    held_bytes,
+    merge_assignment,
+)
 
 #: Largest intermediate table (entries) a plan may create; exceeding it is an
 #: error, never a silent approximation.
@@ -114,12 +124,18 @@ def _build_plan(
     if assigned_set & keep_set:
         raise ValueError("kept variables must not be assigned")
     cards = bn.cards
+    # only the ancestral set matters: the buckets of every other (barren)
+    # variable sum to one, so their CPTs are left out
+    relevant = assigned_set | keep_set
+    relevant |= ancestors_of(bn, relevant)
 
     leaves = []
     sliced = []
     scalar_leaves = []
     live: list[tuple[tuple[int, ...], int]] = []  # (free vars, slot)
     for cpt in bn.cpts:
+        if cpt.child not in relevant:
+            continue
         scope = cpt.parents + (cpt.child,)
         table = np.asarray(cpt.table, dtype=np.float64)
         free = tuple(v for v in scope if v not in assigned_set)
@@ -136,7 +152,7 @@ def _build_plan(
         live.append((free, len(live)))
     slot_count = len(live)
 
-    elim = [v for v in range(bn.n) if v not in assigned_set and v not in keep_set]
+    elim = [v for v in sorted(relevant) if v not in assigned_set and v not in keep_set]
     seq = _min_fill_sequence(live, elim, keep, cards)
 
     steps: list[_Step] = []
@@ -242,7 +258,11 @@ def _plan_for(bn, assigned_vars: tuple[int, ...], keep: tuple[int, ...], cap: in
     plan = bn._cache.get(key)
     if plan is None:
         plan = _build_plan(bn, assigned_vars, keep, cap)
-        bn._cache[key] = plan
+        steps = plan.steps + ((plan.final,) if plan.final else ())
+        arrays = [g for step in steps for g in step.gathers]
+        arrays += [t for t in plan.leaves if t is not None]
+        arrays += [t for _, t, _, _ in plan.sliced] + [t for t, _ in plan.scalar_leaves]
+        bn._cache.put(key, plan, held_bytes(arrays))
     return plan
 
 

@@ -12,6 +12,7 @@ assignment is an ordered tuple of ``(variable id, value)`` pairs.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,13 +56,61 @@ class Cpt:
         return self.table[parent_values]
 
 
+#: Byte budget of one network's structure cache; beyond it the least
+#: recently used entries are dropped.
+CACHE_BYTES = 64 * 2**20
+
+#: Bytes charged per array of a cache entry on top of its data, and once for
+#: the entry itself: an array object with its share of the tuples and numbers
+#: around it. A walk over every object of bf and abdp entries measured
+#: 270-460 bytes.
+_ARRAY_OVERHEAD = 320
+
+
+def held_bytes(arrays: list[np.ndarray]) -> int:
+    """What a cache entry holding these arrays costs, roughly."""
+    return sum(a.nbytes for a in arrays) + _ARRAY_OVERHEAD * (len(arrays) + 1)
+
+
+class StructureCache:
+    """What is derived from a network's structure and CPTs alone (elimination
+    plans, blanket structures), kept for reuse across queries: a
+    least-recently-used map whose entries, charged by ``held_bytes``, stay
+    within ``CACHE_BYTES``. An entry larger than the whole budget is not
+    kept."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, bytes)
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        hit = self._entries.get(key)
+        if hit is None:
+            return None
+        self._entries.move_to_end(key)
+        return hit[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        """Keep ``value``, charged ``nbytes``, under a key that ``get`` missed."""
+        if nbytes > CACHE_BYTES:
+            return
+        self._entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > CACHE_BYTES:
+            _, (_, dropped) = self._entries.popitem(last=False)
+            self.nbytes -= dropped
+
+
 @dataclass
 class BayesianNetwork:
     """Immutable-by-convention network: do not mutate after construction."""
 
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: StructureCache = field(default_factory=StructureCache, repr=False, compare=False)
 
     def __post_init__(self):
         self.cards = tuple(v.cardinality for v in self.variables)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,23 @@ def random_tree_network(rng: np.random.Generator, n: int, max_card: int = 3):
         table = table / table.sum(axis=-1, keepdims=True)
         cpts.append(Cpt(child=i, parents=ps, table=table))
     return BayesianNetwork(variables=variables, cpts=tuple(cpts))
+
+
+def barren_network(rng: np.random.Generator, n_core: int, n_leaves: int) -> BayesianNetwork:
+    """A random DAG of ``n_core`` variables with ``n_leaves`` childless
+    variables hung below it, each with one or two core parents: a prior
+    query on the core leaves every leaf barren."""
+    core = random_network(rng, n=n_core)
+    variables = list(core.variables)
+    cpts = list(core.cpts)
+    for i in range(n_core, n_core + n_leaves):
+        ps = tuple(sorted(int(p) for p in rng.choice(n_core, size=int(rng.integers(1, 3)),
+                                                     replace=False)))
+        card = int(rng.integers(2, 4))
+        table = rng.random(tuple(variables[p].cardinality for p in ps) + (card,)) + 0.02
+        variables.append(Variable(i, f"v{i}", card))
+        cpts.append(Cpt(child=i, parents=ps, table=table / table.sum(axis=-1, keepdims=True)))
+    return BayesianNetwork(variables=tuple(variables), cpts=tuple(cpts))
 
 
 def grid_network(rows: int, cols: int, *key: int) -> BayesianNetwork:
@@ -164,6 +182,35 @@ def brute_posteriors(bn: BayesianNetwork, e: dict[int, int]):
         for v in range(bn.n)
     }
     return pe, tables
+
+
+def fraction_event_mass(bn: BayesianNetwork, assigned: dict, keep: tuple[int, ...] = ()):
+    """Σ of the joint over every completion of ``assigned``, per value of the
+    kept variables, in exact rationals: a nested list indexed like
+    ``eliminate(bn, assigned, keep)`` (a bare Fraction when keep is empty).
+    Every CPT entry is taken as the float it is (``Fraction(float)`` is
+    exact) and the whole network is enumerated, barren variables included."""
+    tables = [
+        {idx: Fraction(float(p)) for idx, p in np.ndenumerate(np.asarray(cpt.table))}
+        for cpt in bn.cpts
+    ]
+    free = [v for v in range(bn.n) if v not in assigned]
+    out = {}
+    for vals in itertools.product(*(range(bn.cards[v]) for v in free)):
+        full = dict(assigned)
+        full.update(zip(free, vals))
+        p = Fraction(1)
+        for cpt, table in zip(bn.cpts, tables):
+            p *= table[tuple(full[q] for q in cpt.parents) + (full[cpt.child],)]
+        cell = tuple(full[v] for v in keep)
+        out[cell] = out.get(cell, Fraction(0)) + p
+
+    def nest(prefix):
+        if len(prefix) == len(keep):
+            return out[prefix]
+        return [nest(prefix + (x,)) for x in range(bn.cards[keep[len(prefix)]])]
+
+    return nest(())
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +390,8 @@ def reference_greedy_lp(lp: BlanketLp, sense: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact-layer references: the one-assignment-at-a-time forms the batched and
-# incremental code must reproduce bit for bit
+# references: the one-at-a-time forms that the batched, incremental and
+# hoisted code must reproduce bit for bit
 
 def reference_min_fill_sequence(live, elim, keep, cards) -> list[int]:
     """Min-fill that rescans every remaining variable at every step: the
@@ -403,6 +450,37 @@ def reference_exact_sums(bn: BayesianNetwork, e, active):
             [math.fsum(float(row[x]) for row in rows) for x in range(bn.cards[var])]
         )
     return priors, mass
+
+
+def reference_partial_terms(inputs, var: int, value: int):
+    """Per-partial (NL, den_term, NU, oL) lists for one query value, summing
+    each partial's extension tables anew: what ``engine._partial_terms``
+    must give for that value."""
+    k = inputs.cutset_pos.get(var)
+    nls, terms, nus, ols = [], [], [], []
+    for vals, tab in zip(inputs.tree.partials, inputs.tables):
+        jl, ju = tab.joint
+        if k is not None and k < len(vals):
+            if vals[k] == value:
+                nls.append(jl)
+                terms.append(jl)
+                nus.append(ju)
+                ols.append(0.0)
+            else:
+                nls.append(0.0)
+                terms.append(ju)
+                nus.append(0.0)
+                ols.append(jl)
+            continue
+        lows = tab.var_low[var]
+        highs = tab.var_high[var]
+        nl = float(lows[value])
+        ou = float(highs.sum() - highs[value])
+        nls.append(nl)
+        terms.append(min(nl + ou, ju))
+        nus.append(min(float(highs[value]), ju))
+        ols.append(float(lows.sum() - lows[value]))
+    return nls, terms, nus, ols
 
 
 # ---------------------------------------------------------------------------

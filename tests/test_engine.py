@@ -31,6 +31,7 @@ from conftest import (
     random_network,
     random_tree_network,
     reference_exact_sums,
+    reference_partial_terms,
 )
 
 
@@ -332,6 +333,27 @@ class TestPrepareInputs:
         size = len(bn._cache)
         prepare_inputs(bn, e2, second, make_bounder("bf", bn, e2, cut.vars))
         assert len(bn._cache) == size
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("plugin", ["bf", "abdp"])
+    def test_terms_equal_the_per_value_reference(self, rng, plugin):
+        checked = 0
+        while checked < 6:
+            bn = random_network(rng, n=int(rng.integers(5, 9)))
+            e = random_evidence(rng, bn)
+            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+            if not cut.vars or cut.n_tuples < 3:
+                continue
+            active = select_tuples_gibbs(bn, e, cut, cut.n_tuples // 3)
+            bounder = make_bounder(plugin, bn, e, cut.vars, iters=5)
+            inputs = prepare_inputs(bn, e, active, bounder)
+            for var in inputs.query_vars():
+                got = engine_mod._partial_terms(inputs, var)
+                assert len(got) == bn.cards[var]
+                for value, parts in enumerate(got):
+                    assert parts == reference_partial_terms(inputs, var, value)
+            checked += 1
 
 
 class TestInvocationAccounting:

@@ -2,6 +2,7 @@
 
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable
 
 from conftest import (
+    barren_network,
     brute_event_mass,
     brute_posteriors,
+    fraction_event_mass,
     random_evidence,
     random_network,
     reference_min_fill_sequence,
@@ -131,6 +134,74 @@ class TestBatchedEliminate:
         bn = random_network(rng, n=5)
         with pytest.raises(ValueError, match="one length"):
             eliminate(bn, {0: np.array([0, 1]), 1: np.array([1, 0, 1])}, ())
+
+
+def _ancestral_set(bn, seeds) -> set[int]:
+    """The seeds and everything above them, by repeated parent lookups."""
+    out = set(seeds)
+    while True:
+        grown = out | {p for v in out for p in bn.cpts[v].parents}
+        if grown == out:
+            return out
+        out = grown
+
+
+class TestAncestralPruning:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_keep=st.sampled_from([0, 1]),
+        batch=st.sampled_from([0, 1, 3]),
+        leaf_evidence=st.booleans(),
+    )
+    def test_eliminate_is_within_1e13_of_exact_rationals(
+        self, seed, n_keep, batch, leaf_evidence
+    ):
+        rng = np.random.default_rng(seed)
+        n_core = int(rng.integers(2, 5))
+        bn = barren_network(rng, n_core, n_leaves=int(rng.integers(2, 7)))
+        core = [int(v) for v in rng.permutation(n_core)]
+        leaves = [int(v) for v in rng.permutation(range(n_core, bn.n))]
+        e = {v: int(rng.integers(bn.cards[v])) for v in core[:int(rng.integers(0, 2))]}
+        if leaf_evidence:  # on at most two leaves, and never on all of them
+            e.update({v: int(rng.integers(bn.cards[v])) for v in leaves[:min(2, len(leaves) - 1)]})
+        free = [v for v in core + leaves if v not in e]
+        keep = tuple(free[:n_keep])
+        # batched calls give array values to up to two more variables
+        arrays = {
+            v: rng.integers(bn.cards[v], size=batch) for v in free[n_keep:n_keep + 2]
+        } if batch else {}
+        got = eliminate(bn, {**e, **arrays}, keep)
+        rows = [{v: int(a[i]) for v, a in arrays.items()} for i in range(batch)] or [{}]
+        if not batch:
+            got = got[None]
+        tolerance = Fraction(1, 10**13)
+        for row, assigned in zip(got, rows):
+            want = np.array(fraction_event_mass(bn, {**e, **assigned}, keep), dtype=object)
+            for cell, exact in np.ndenumerate(want):
+                error = abs(Fraction(float(row[cell])) - exact)
+                assert error <= tolerance * exact, (cell, float(row[cell]), float(exact))
+
+    def test_prior_plan_takes_only_the_ancestral_cpts(self, rng):
+        for _ in range(40):
+            n_core = int(rng.integers(2, 8))
+            bn = barren_network(rng, n_core, n_leaves=int(rng.integers(1, 6)))
+            order = [int(v) for v in rng.permutation(bn.n)]
+            n_assigned = int(rng.integers(0, 3))
+            assigned = tuple(sorted(order[:n_assigned]))
+            keep = tuple(order[n_assigned:n_assigned + int(rng.integers(0, 2))])
+            plan = _plan_for(bn, assigned, keep, DEFAULT_TABLE_CAP)
+            taken = (
+                [t for t in plan.leaves if t is not None]
+                + [t for _, t, _, _ in plan.sliced]
+                + [t for t, _ in plan.scalar_leaves]
+            )
+            held = sorted(
+                v for v in range(bn.n)
+                if any(np.shares_memory(t, bn.cpts[v].table) for t in taken)
+            )
+            assert held == sorted(_ancestral_set(bn, assigned + keep))
+            assert len(taken) == len(held)
 
 
 class TestMinFill:

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefbounds.model as model_mod
+from beliefbounds.engine import run_engine
 from beliefbounds.model import (
     BayesianNetwork,
     Cpt,
     NetworkFormatError,
+    StructureCache,
     Variable,
     assignment_tuples,
     joint_probability,
@@ -24,7 +27,13 @@ from beliefbounds.model import (
     validate_evidence,
 )
 
-from conftest import brute_joint, brute_posteriors, network_text, random_network
+from conftest import (
+    brute_joint,
+    brute_posteriors,
+    network_text,
+    random_evidence,
+    random_network,
+)
 
 CHAIN_SRC = """BAYES
 3
@@ -297,3 +306,40 @@ class TestRelevance:
         assert relevant_keep_set(bn, 0, {}) == frozenset({0})
         # Evidence on the leaf keeps the whole chain.
         assert relevant_keep_set(bn, 0, {2: 1}) == frozenset({0, 1, 2})
+
+
+class TestStructureCache:
+    def test_least_recently_used_entries_go_first(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "CACHE_BYTES", 300)
+        cache = StructureCache()
+        for key in "abc":
+            cache.put(key, key.upper(), 100)
+        assert cache.get("a") == "A"  # now the most recently used
+        cache.put("d", "D", 100)
+        assert cache.get("b") is None
+        assert [cache.get(k) for k in "acd"] == ["A", "C", "D"]
+        assert len(cache) == 3 and cache.nbytes == 300
+        cache.put("huge", "H", 301)  # larger than the whole budget: not kept
+        assert cache.get("huge") is None and len(cache) == 3
+
+    def test_bytes_stay_within_the_budget_over_many_evidence_sets(self, monkeypatch):
+        """200 evidence sets on one network through both plug-ins, with a
+        budget the plans and blanket structures overflow many times."""
+        rng = np.random.default_rng(7)
+        bn = random_network(rng, n=8)
+        budget = 2**17
+        monkeypatch.setattr(model_mod, "CACHE_BYTES", budget)
+        seen = set()
+        for i in range(200):
+            e = random_evidence(rng, bn, max_obs=3)
+            plugin = "abdp" if i % 4 == 0 else "bf"
+            report = run_engine(bn, e, 1, plugin=plugin, iters=3)
+            assert bn._cache.nbytes <= budget
+            seen.update(bn._cache._entries)
+            if i % 40 == 0:  # a fresh cache gives the same answer
+                fresh = BayesianNetwork(bn.variables, bn.cpts)
+                again = run_engine(fresh, e, 1, plugin=plugin, iters=3)
+                assert again.marginals == report.marginals
+                assert again.evidence == report.evidence
+        assert len(seen) > 2 * len(bn._cache)  # entries were dropped
+        assert {key[0] for key in seen} == {"plan", "bdp-var"}
