@@ -13,9 +13,7 @@ from .bounder import (
     MarginalBounds,
     PartialTupleBounds,
     PriorMassBounder,
-    chain_joint_bounds,
     make_bounder,
-    prior_mass_bounds,
     propagate_marginal_bounds,
     solve_blanket_lp_greedy,
 )
@@ -24,11 +22,9 @@ from .engine import (
     EngineInputs,
     bounded_conditioning_bounds,
     compute_report,
-    cutset_marginal_bounds,
     evidence_bounds,
     marginal_bounds,
     prepare_inputs,
-    prior_mass_closed_interval,
     remainder_interval_bound,
     run_engine,
     select_and_bound,
@@ -38,8 +34,6 @@ from .exact import (
     ZeroEvidenceError,
     bucket_eliminate_marginals,
     bucket_eliminate_pe,
-    conditioned_joint,
-    cutset_condition_exact,
     eliminate,
     enumerate_oracle,
 )
@@ -68,11 +62,8 @@ from .model import (
     Cpt,
     NetworkFormatError,
     Variable,
-    joint_probability,
-    markov_boundary,
     parse_evidence,
     parse_network,
-    relevant_subnetwork,
     validate_evidence,
     validate_network,
 )
@@ -80,7 +71,6 @@ from .tuples import (
     ActiveTupleSet,
     TruncatedTree,
     build_truncated_tree,
-    partition_check,
     select_tuples_gibbs,
 )
 

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import eliminate
-from .model import (
-    BayesianNetwork,
-    Evidence,
-    PartialAssignment,
-    ancestors_of,
-    held_bytes,
-    merge_assignment,
-)
+from .model import BayesianNetwork, Evidence, PartialAssignment, ancestors_of, held_bytes
 
 DEFAULT_K = 2**10
 DEFAULT_MAX_ITERS = 50
@@ -341,35 +334,9 @@ def propagate_marginal_bounds(
 # ---------------------------------------------------------------------------
 # joint-probability bounds
 
-def _as_pairs(a) -> PartialAssignment:
-    if a is None:
-        return ()
-    if isinstance(a, dict):
-        return tuple(a.items())
-    return tuple(a)
-
-
-def prior_mass_bounds(
-    bn: BayesianNetwork, e: Evidence, a: PartialAssignment | dict, extra=None
-) -> tuple[float, float]:
-    """[0, P(a ∪ extra)]: prior mass computed exactly with no evidence."""
-    merged, conflict = merge_assignment({}, _as_pairs(a), extra)
-    if conflict:
-        return 0.0, 0.0
-    prior = float(eliminate(bn, merged, ()))
-    return 0.0, min(1.0, prior)
-
-
-def chain_joint_bounds(
-    bn: BayesianNetwork,
-    e: Evidence,
-    a: PartialAssignment | dict,
-    extra=None,
-    k: int = DEFAULT_K,
-    iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Bound P(a ∪ extra, e) by the evidence-chain factorization.
+def _chain_bounds(bn, e, merged: dict, prior: float, k, iters):
+    """Bound P(merged, e) by the evidence-chain factorization, given the
+    prior mass P(merged) of a conflict-free assignment.
 
     Evidence conditionals are taken in topological order (earlier factors see
     smaller relevant subnetworks). Each factor's interval comes from bound
@@ -377,15 +344,6 @@ def chain_joint_bounds(
     The result is intersected with the prior-mass interval, so it degrades to
     that bound instead of ever being worse.
     """
-    merged, conflict = merge_assignment({}, _as_pairs(a), extra)
-    if conflict:
-        return 0.0, 0.0
-    return _chain_bounds(bn, e, merged, float(eliminate(bn, merged, ())), k, iters, tol)
-
-
-def _chain_bounds(bn, e, merged: dict, prior: float, k, iters, tol):
-    """``chain_joint_bounds`` of a conflict-free assignment whose prior mass
-    P(merged) is already known."""
     for var, val in merged.items():
         if var in e and e[var] != val:
             return 0.0, 0.0
@@ -393,7 +351,7 @@ def _chain_bounds(bn, e, merged: dict, prior: float, k, iters, tol):
     lo_prod, hi_prod = 1.0, 1.0
     ctx = dict(merged)
     for ev_var in (v for v in bn.topo_order if v in e and v not in merged):
-        mb = propagate_marginal_bounds(bn, ctx, k=k, max_iters=iters, tol=tol)
+        mb = propagate_marginal_bounds(bn, ctx, k=k, max_iters=iters)
         l, u = mb.interval(ev_var, e[ev_var])
         lo_prod *= max(0.0, l)
         hi_prod *= min(1.0, u)
@@ -535,12 +493,10 @@ class ChainPropagationBounder(JointBounder):
         cutset_vars: tuple[int, ...],
         k: int = DEFAULT_K,
         iters: int = DEFAULT_MAX_ITERS,
-        tol: float = DEFAULT_TOL,
     ):
         super().__init__(bn, e, cutset_vars)
         self.k = k
         self.iters = iters
-        self.tol = tol
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
         prior, var_prior = self._prior_tables(partial)
@@ -555,12 +511,10 @@ class ChainPropagationBounder(JointBounder):
                 var_prior=var_prior,
                 cost=0,
             )
-        jl, jh = _chain_bounds(self.bn, self.e, partial, prior, self.k, self.iters, self.tol)
+        jl, jh = _chain_bounds(self.bn, self.e, partial, prior, self.k, self.iters)
         cond = dict(self.e)
         cond.update(partial)
-        mb = propagate_marginal_bounds(
-            self.bn, cond, k=self.k, max_iters=self.iters, tol=self.tol
-        )
+        mb = propagate_marginal_bounds(self.bn, cond, k=self.k, max_iters=self.iters)
         var_low: dict[int, np.ndarray] = {}
         var_high: dict[int, np.ndarray] = {}
         for v in free:
@@ -589,10 +543,9 @@ def make_bounder(
     cutset_vars: tuple[int, ...],
     k: int = DEFAULT_K,
     iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
 ) -> JointBounder:
     if kind == "bf":
         return PriorMassBounder(bn, e, cutset_vars)
     if kind == "abdp":
-        return ChainPropagationBounder(bn, e, cutset_vars, k=k, iters=iters, tol=tol)
+        return ChainPropagationBounder(bn, e, cutset_vars, k=k, iters=iters)
     raise ValueError(f"unknown bounder kind {kind!r} (expected 'bf' or 'abdp')")

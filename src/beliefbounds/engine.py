@@ -91,8 +91,8 @@ class BoundsReport:
     i_h: float
     evidence: tuple[float, float]
     marginals: dict[int, tuple[tuple[float, float], ...]]
-    bc_marginals: dict[int, tuple[tuple[float, float], ...]] | None
-    bc_evidence: tuple[float, float] | None
+    bc_marginals: dict[int, tuple[tuple[float, float], ...]]
+    bc_evidence: tuple[float, float]
     clamp_events: int
     degenerate: tuple[tuple[int, int], ...]
     invocations: int
@@ -257,24 +257,14 @@ def _marginal_table(inputs: EngineInputs, var: int):
 
 
 def marginal_bounds(inputs: EngineInputs, var: int, value: int) -> tuple[float, float]:
-    """[L, U] on P(var=value | e) for an unobserved non-cutset variable."""
-    if var in inputs.e:
-        raise ValueError(f"variable {var} is observed")
-    if var in inputs.cutset_pos:
-        raise ValueError(f"variable {var} is a cutset member; use the cutset query")
-    low, high, _, _ = _marginal_table(inputs, var)[value]
-    return low, high
+    """[L, U] on P(var=value | e) for any unobserved variable.
 
-
-def cutset_marginal_bounds(inputs: EngineInputs, var: int, value: int) -> tuple[float, float]:
-    """[L, U] on P(var=value | e) for a cutset member.
-
-    Active tuples matching the value contribute their exact mass; partial
+    Active tuples contribute their exact mass. For a cutset member, partial
     tuples that pin the variable contribute through their joint interval, and
     partial tuples that leave it free through the extension tables.
     """
-    if var not in inputs.cutset_pos:
-        raise ValueError(f"variable {var} is not in the cutset")
+    if var in inputs.e:
+        raise ValueError(f"variable {var} is observed")
     low, high, _, _ = _marginal_table(inputs, var)[value]
     return low, high
 
@@ -290,17 +280,6 @@ def evidence_bounds(inputs: EngineInputs) -> tuple[float, float]:
 def evidence_closed_form(inputs: EngineInputs) -> tuple[float, float]:
     """Prior-remainder evidence interval [S, S + R] (clamped at 1)."""
     return inputs.s, max(min(1.0, inputs.s + inputs.r), inputs.s)
-
-
-def prior_mass_closed_interval(inputs: EngineInputs, var: int, value: int):
-    """Closed-form marginal interval using only S, S_x and the prior
-    remainder R: [S_x/(S+R), (S_x+R)/(S+R)]. What the generic assembly
-    reduces to under the prior-mass bounder."""
-    s_val = float(inputs.active_mass[var][value])
-    den = inputs.s + inputs.r
-    if den <= 0.0:
-        return 0.0, 1.0
-    return s_val / den, (s_val + inputs.r) / den
 
 
 def bounded_conditioning_bounds(inputs: EngineInputs, var: int, value: int):
@@ -395,7 +374,6 @@ def select_and_bound(
     seed: int = 0,
     k: int = 2**10,
     iters: int = 50,
-    tol: float = 1e-6,
 ) -> tuple[ActiveTupleSet, JointBounder, float]:
     """Pipeline setup: choose the cutset (unless given), select the h active
     tuples and build the plug-in bounder. Returns (active, bounder, seconds
@@ -411,7 +389,7 @@ def select_and_bound(
     t0 = time.perf_counter()
     active = select_tuples_gibbs(bn, e, cutset, h, sweeps=sweeps, seed=seed)
     select_s = time.perf_counter() - t0
-    bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters, tol=tol)
+    bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters)
     return active, bounder, select_s
 
 

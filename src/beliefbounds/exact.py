@@ -1,4 +1,4 @@
-"""Exact inference: bucket elimination, enumeration oracle, cutset conditioning.
+"""Exact inference: bucket elimination and the enumeration oracle.
 
 Bucket elimination is compiled to a reusable *plan* per (network, assigned
 variables, kept variables): the plan fixes the elimination order, every
@@ -27,14 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .model import (
-    BayesianNetwork,
-    Evidence,
-    PartialAssignment,
-    ancestors_of,
-    held_bytes,
-    merge_assignment,
-)
+from .model import BayesianNetwork, Evidence, ancestors_of, held_bytes
 
 #: Largest intermediate table (entries) a plan may create; exceeding it is an
 #: error, never a silent approximation.
@@ -331,16 +324,15 @@ def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public operations
 
-def bucket_eliminate_pe(bn: BayesianNetwork, e: Evidence, cap: int = DEFAULT_TABLE_CAP) -> float:
+def bucket_eliminate_pe(bn: BayesianNetwork, e: Evidence) -> float:
     """Exact probability of evidence. Empty evidence gives 1 (normalization)."""
-    return float(eliminate(bn, e, (), cap=cap))
+    return float(eliminate(bn, e, ()))
 
 
-def bucket_eliminate_marginals(
-    bn: BayesianNetwork, e: Evidence, cap: int = DEFAULT_TABLE_CAP
-) -> dict[int, np.ndarray]:
-    """Posterior tables P(x | e) for every variable (observed -> indicator)."""
-    pe = bucket_eliminate_pe(bn, e, cap=cap)
+def bucket_eliminate_marginals(bn: BayesianNetwork, e: Evidence):
+    """(P(e), posterior tables P(x | e) for every variable), the shape
+    ``enumerate_oracle`` returns; observed variables get indicators."""
+    pe = bucket_eliminate_pe(bn, e)
     if pe == 0.0:
         raise ZeroEvidenceError("P(e) = 0; posteriors undefined")
     out: dict[int, np.ndarray] = {}
@@ -349,30 +341,14 @@ def bucket_eliminate_marginals(
             t = np.zeros(bn.cards[v])
             t[e[v]] = 1.0
         else:
-            t = eliminate(bn, e, (v,), cap=cap) / pe
+            t = eliminate(bn, e, (v,)) / pe
         out[v] = t
-    return out
-
-
-def conditioned_joint(
-    bn: BayesianNetwork,
-    e: Evidence,
-    a: PartialAssignment | dict | None,
-    cap: int = DEFAULT_TABLE_CAP,
-) -> float:
-    """P(a, e): the partial assignment is treated as additional evidence.
-
-    A variable assigned differently by ``a`` and ``e`` makes the event
-    impossible: returns 0.0 (not an error).
-    """
-    merged, conflict = merge_assignment(e, tuple(dict(a or {}).items()))
-    if conflict:
-        return 0.0
-    return bucket_eliminate_pe(bn, merged, cap=cap)
+    return pe, out
 
 
 def enumerate_oracle(bn: BayesianNetwork, e: Evidence, cap: int = ORACLE_STATE_CAP):
-    """Full-enumeration reference: (P(e), posterior tables). Test use only.
+    """Full-enumeration reference: (P(e), posterior tables), for tests and
+    the benchmark's self-check.
 
     Materializes the joint as one tensor (product of broadcast CPTs), so it
     shares no code with bucket elimination beyond the CPT arrays themselves.
@@ -401,53 +377,5 @@ def enumerate_oracle(bn: BayesianNetwork, e: Evidence, cap: int = ORACLE_STATE_C
             axis = free.index(v)
             other = tuple(i for i in range(len(free)) if i != axis)
             t = sliced.sum(axis=other) / pe if pe > 0.0 else np.full(bn.cards[v], np.nan)
-        tables[v] = t
-    return pe, tables
-
-
-def cutset_condition_exact(
-    bn: BayesianNetwork,
-    e: Evidence,
-    c,
-    max_tuples: int = 4096,
-    cap: int = DEFAULT_TABLE_CAP,
-):
-    """(P(e), posterior tables) by explicit summation over all cutset tuples."""
-    cvars = tuple(c.vars) if hasattr(c, "vars") else tuple(c)
-    cards = tuple(bn.cards[v] for v in cvars)
-    m = math.prod(cards) if cvars else 1
-    if m > max_tuples:
-        raise ScopeCapError(f"cutset space {m} exceeds cap {max_tuples}")
-    from .model import assignment_tuples
-
-    free = [v for v in range(bn.n) if v not in e and v not in set(cvars)]
-    pe_terms: list[float] = []
-    acc = {v: np.zeros(bn.cards[v]) for v in free}
-    cacc = {v: np.zeros(bn.cards[v]) for v in cvars}
-    for tup in assignment_tuples(cards):
-        assign = dict(zip(cvars, tup))
-        merged, conflict = merge_assignment(e, tuple(assign.items()))
-        if conflict:
-            pe_terms.append(0.0)
-            continue
-        p = bucket_eliminate_pe(bn, merged, cap=cap)
-        pe_terms.append(p)
-        if p > 0.0:
-            for v in free:
-                acc[v] += eliminate(bn, merged, (v,), cap=cap)
-            for v, val in assign.items():
-                cacc[v][val] += p
-    pe = math.fsum(pe_terms)
-    if pe == 0.0:
-        raise ZeroEvidenceError("P(e) = 0; posteriors undefined")
-    tables: dict[int, np.ndarray] = {}
-    for v in range(bn.n):
-        if v in e:
-            t = np.zeros(bn.cards[v])
-            t[e[v]] = 1.0
-        elif v in set(cvars):
-            t = cacc[v] / pe
-        else:
-            t = acc[v] / pe
         tables[v] = t
     return pe, tables

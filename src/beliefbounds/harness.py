@@ -13,16 +13,11 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import BoundsReport, compute_report, prepare_inputs, select_and_bound
-from .exact import (
-    ScopeCapError,
-    ZeroEvidenceError,
-    bucket_eliminate_marginals,
-    bucket_eliminate_pe,
-)
+from .exact import ScopeCapError, ZeroEvidenceError, bucket_eliminate_marginals
 from .model import parse_evidence, parse_network, validate_evidence
 
 
@@ -35,7 +30,6 @@ class MetricsSummary:
     coverage_pct: float | None
     h: int
     m_prime: int
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def mean_interval(report: BoundsReport) -> float:
@@ -85,7 +79,6 @@ def summarize(
         ),
         h=report.h,
         m_prime=report.m_prime,
-        timings=dict(report.timings),
     )
 
 
@@ -156,13 +149,12 @@ def report_payload(
             "clamp_events": report.clamp_events,
             "degenerate": [list(q) for q in report.degenerate],
         },
-    }
-    if report.bc_marginals is not None:
-        out["bc_marginals"] = {
+        "bc_marginals": {
             str(var): [list(iv) for iv in rows]
             for var, rows in report.bc_marginals.items()
-        }
-        out["bc_evidence"] = list(report.bc_evidence)
+        },
+        "bc_evidence": list(report.bc_evidence),
+    }
     if metrics is not None:
         out["metrics"] = {
             "mean_interval": metrics.mean_interval,
@@ -181,7 +173,7 @@ def report_payload(
 
 def csv_rows(report: BoundsReport, exact_marginals: dict | None = None):
     """Rows (variable, value, lower, upper, width, exact, method): the main
-    method's intervals first, then the baseline's when present."""
+    method's intervals first, then the baseline's."""
     rows = []
 
     def block(marginals, method):
@@ -203,8 +195,7 @@ def csv_rows(report: BoundsReport, exact_marginals: dict | None = None):
                 )
 
     block(report.marginals, report.method)
-    if report.bc_marginals is not None:
-        block(report.bc_marginals, "bc")
+    block(report.bc_marginals, "bc")
     return rows
 
 
@@ -232,7 +223,6 @@ class ExperimentConfig:
     k: int = 2**10
     sweeps: int = 32
     iters: int = 50
-    tol: float = 1e-6
     seed: int = 0
     out_json: str | None = None
     out_csv: str | None = None
@@ -250,7 +240,6 @@ class ExperimentConfig:
             "k": self.k,
             "sweeps": self.sweeps,
             "iters": self.iters,
-            "tol": self.tol,
             "seed": self.seed,
             "oracle": self.oracle,
         }
@@ -280,15 +269,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
         active_full, bounder, select_time = select_and_bound(
             bn, e, max(hs), plugin=cfg.plugin, cutset_kind=cfg.cutset, w=cfg.w,
-            sweeps=cfg.sweeps, seed=cfg.seed, k=cfg.k, iters=cfg.iters, tol=cfg.tol,
+            sweeps=cfg.sweeps, seed=cfg.seed, k=cfg.k, iters=cfg.iters,
         )
 
         exact_pe = exact_marginals = None
         if cfg.oracle != "off":
             try:
-                exact_pe, exact_marginals = (
-                    bucket_eliminate_pe(bn, e), bucket_eliminate_marginals(bn, e)
-                )
+                exact_pe, exact_marginals = bucket_eliminate_marginals(bn, e)
             except (ScopeCapError, ZeroEvidenceError):
                 if cfg.oracle == "on":
                     raise

@@ -52,9 +52,6 @@ class Cpt:
     parents: tuple[int, ...]
     table: np.ndarray
 
-    def row(self, parent_values: tuple[int, ...]) -> np.ndarray:
-        return self.table[parent_values]
-
 
 #: Byte budget of one network's structure cache; beyond it the least
 #: recently used entries are dropped.
@@ -121,9 +118,6 @@ class BayesianNetwork:
     def n(self) -> int:
         return len(self.variables)
 
-    def card(self, var: int) -> int:
-        return self.cards[var]
-
     def parents(self, var: int) -> tuple[int, ...]:
         return self.cpts[var].parents
 
@@ -183,6 +177,9 @@ def validate_network(bn: BayesianNetwork) -> None:
 
 def _check_rows(cpt: Cpt, child: int) -> None:
     flat = cpt.table.reshape(-1, cpt.table.shape[-1])
+    # NaN fails every comparison below, so it is rejected on its own
+    if not np.all(np.isfinite(flat)):
+        raise NetworkFormatError(f"CPT for variable {child}: entries not finite")
     if np.any(flat < 0.0) or np.any(flat > 1.0):
         raise NetworkFormatError(f"CPT for variable {child}: entries outside [0, 1]")
     sums = flat.sum(axis=1)
@@ -322,6 +319,8 @@ def parse_evidence(text: str) -> Evidence:
     """
     toks = _Tokens(text)
     m = toks.next_int("evidence pair count")
+    if m < 0:
+        raise NetworkFormatError(f"evidence pair count {m} < 0")
     ev: Evidence = {}
     for j in range(m):
         var = toks.next_int(f"variable of pair {j}")
@@ -345,81 +344,7 @@ def validate_evidence(bn: BayesianNetwork, e: Evidence) -> None:
 
 
 # ---------------------------------------------------------------------------
-# structural / probabilistic queries
-
-def joint_probability(bn: BayesianNetwork, full) -> float:
-    """P(x_1..x_n) as the product of one CPT entry per variable.
-
-    ``full`` is a mapping or pair-sequence assigning every variable.
-    """
-    assign = dict(full)
-    if len(assign) != bn.n or any(v not in assign for v in range(bn.n)):
-        missing = [v for v in range(bn.n) if v not in assign]
-        raise ValueError(f"assignment must cover all variables; missing {missing[:5]}")
-    p = 1.0
-    for cpt in bn.cpts:
-        idx = tuple(assign[q] for q in cpt.parents) + (assign[cpt.child],)
-        p *= float(cpt.table[idx])
-        if p == 0.0:
-            return 0.0
-    return p
-
-
-def markov_boundary(bn: BayesianNetwork, x: int) -> set[int]:
-    """Parents, children and co-parents of x (x excluded)."""
-    out = set(bn.parents(x))
-    for ch in bn.children[x]:
-        out.add(ch)
-        out.update(bn.parents(ch))
-    out.discard(x)
-    return out
-
-
-def relevant_keep_set(bn: BayesianNetwork, x: int, e: Evidence) -> frozenset[int]:
-    """Variables retained by barren-descendant pruning relative to x.
-
-    Drops every descendant of x that is unobserved and has no observed
-    descendant; the posterior of x given e is unchanged. The retained set is
-    closed under parents, so original CPTs stay valid on it.
-    """
-    desc = _descendants(bn, x)
-    has_obs_below = ancestors_of(bn, set(e))
-    removed = {v for v in desc if v not in e and v not in has_obs_below}
-    return frozenset(v for v in range(bn.n) if v not in removed)
-
-
-def relevant_subnetwork(bn: BayesianNetwork, x: int, e: Evidence) -> BayesianNetwork:
-    """Reindexed subnetwork over relevant_keep_set(bn, x, e).
-
-    Variable names are preserved so callers can map results back; ids are
-    re-densified in ascending original order.
-    """
-    keep = sorted(relevant_keep_set(bn, x, e))
-    remap = {old: new for new, old in enumerate(keep)}
-    variables = tuple(
-        Variable(remap[v], bn.variables[v].name, bn.cards[v]) for v in keep
-    )
-    cpts = tuple(
-        Cpt(
-            child=remap[v],
-            parents=tuple(remap[p] for p in bn.parents(v)),
-            table=bn.cpts[v].table,
-        )
-        for v in keep
-    )
-    return BayesianNetwork(variables=variables, cpts=cpts)
-
-
-def _descendants(bn: BayesianNetwork, x: int) -> set[int]:
-    out: set[int] = set()
-    stack = list(bn.children[x])
-    while stack:
-        v = stack.pop()
-        if v not in out:
-            out.add(v)
-            stack.extend(bn.children[v])
-    return out
-
+# structural queries
 
 def ancestors_of(bn: BayesianNetwork, seeds: set[int]) -> set[int]:
     """All strict ancestors of any seed (seeds themselves not included unless

@@ -9,12 +9,11 @@ partially-instantiated tuple, so actives and partials partition the space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import bucket_eliminate_pe, conditioned_joint, eliminate
+from .exact import bucket_eliminate_pe, eliminate
 from .graphs import Cutset
 from .model import BayesianNetwork, Evidence, assignment_tuples, merge_assignment
 
@@ -187,22 +186,3 @@ def build_truncated_tree(c: Cutset, active: ActiveTupleSet) -> TruncatedTree:
 
     walk(root, 0, ())
     return TruncatedTree(active=active, partials=tuple(partials))
-
-
-def partition_check(
-    bn: BayesianNetwork, e: Evidence, tree: TruncatedTree, max_terms: int = EXHAUSTIVE_CAP
-) -> tuple[float, float]:
-    """(active mass, partial mass), each recomputed exactly from scratch.
-
-    Test-oracle operation: with a correct tree the two masses sum to P(e).
-    """
-    c = tree.cutset
-    if c.n_tuples > max_terms:
-        raise ValueError(f"cutset space {c.n_tuples} too large for the check")
-    mass_active = math.fsum(
-        conditioned_joint(bn, e, dict(zip(c.vars, tup))) for tup in tree.active.tuples
-    )
-    mass_partial = math.fsum(
-        conditioned_joint(bn, e, dict(zip(c.vars[: len(p)], p))) for p in tree.partials
-    )
-    return mass_active, mass_partial

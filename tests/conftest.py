@@ -9,11 +9,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beliefbounds.bounder import BlanketLp, JointBounder, PartialTupleBounds
-from beliefbounds.exact import eliminate, enumerate_oracle
+from beliefbounds.bounder import (
+    DEFAULT_K,
+    DEFAULT_MAX_ITERS,
+    BlanketLp,
+    JointBounder,
+    PartialTupleBounds,
+    _chain_bounds,
+)
+from beliefbounds.exact import bucket_eliminate_pe, eliminate, enumerate_oracle
 from beliefbounds.graphs import find_loop_cutset
-from beliefbounds.model import BayesianNetwork, Cpt, Variable
-from beliefbounds.tuples import select_tuples_gibbs
+from beliefbounds.model import BayesianNetwork, Cpt, Variable, merge_assignment
+from beliefbounds.tuples import EXHAUSTIVE_CAP, select_tuples_gibbs
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +488,73 @@ def reference_partial_terms(inputs, var: int, value: int):
         nus.append(min(float(highs[value]), ju))
         ols.append(float(lows.sum() - lows[value]))
     return nls, terms, nus, ols
+
+
+# ---------------------------------------------------------------------------
+# references built on the package's exact layer
+
+def conditioned_joint(bn: BayesianNetwork, e, a) -> float:
+    """P(a, e): the partial assignment ``a`` (a dict or pairs) is treated as
+    additional evidence. A variable assigned differently by ``a`` and ``e``
+    makes the event impossible: 0.0, not an error."""
+    merged, conflict = merge_assignment(e, tuple(dict(a or {}).items()))
+    if conflict:
+        return 0.0
+    return bucket_eliminate_pe(bn, merged)
+
+
+def partition_check(bn: BayesianNetwork, e, tree, max_terms: int = EXHAUSTIVE_CAP):
+    """(active mass, partial mass) of a truncated tree, each recomputed
+    exactly from scratch: with a correct tree the two masses sum to P(e)."""
+    c = tree.cutset
+    if c.n_tuples > max_terms:
+        raise ValueError(f"cutset space {c.n_tuples} too large for the check")
+    mass_active = math.fsum(
+        conditioned_joint(bn, e, dict(zip(c.vars, tup))) for tup in tree.active.tuples
+    )
+    mass_partial = math.fsum(
+        conditioned_joint(bn, e, dict(zip(c.vars[: len(p)], p))) for p in tree.partials
+    )
+    return mass_active, mass_partial
+
+
+def _as_pairs(a):
+    if a is None:
+        return ()
+    if isinstance(a, dict):
+        return tuple(a.items())
+    return tuple(a)
+
+
+def prior_mass_bounds(bn: BayesianNetwork, e, a, extra=None) -> tuple[float, float]:
+    """[0, P(a ∪ extra)]: the prior mass, computed exactly with no evidence,
+    bounds P(a ∪ extra, e) for any e."""
+    merged, conflict = merge_assignment({}, _as_pairs(a), extra)
+    if conflict:
+        return 0.0, 0.0
+    return 0.0, min(1.0, float(eliminate(bn, merged, ())))
+
+
+def chain_joint_bounds(
+    bn: BayesianNetwork, e, a, extra=None, k: int = DEFAULT_K, iters: int = DEFAULT_MAX_ITERS
+) -> tuple[float, float]:
+    """abdp's bounds on P(a ∪ extra, e) (see ``bounder._chain_bounds``) for
+    an assignment given as a dict or pairs, its prior mass eliminated here."""
+    merged, conflict = merge_assignment({}, _as_pairs(a), extra)
+    if conflict:
+        return 0.0, 0.0
+    return _chain_bounds(bn, e, merged, float(eliminate(bn, merged, ())), k, iters)
+
+
+def prior_mass_closed_interval(inputs, var: int, value: int):
+    """Closed-form marginal interval using only S, S_x and the prior
+    remainder R: [S_x/(S+R), (S_x+R)/(S+R)]. What the generic assembly
+    reduces to under the prior-mass bounder."""
+    s_val = float(inputs.active_mass[var][value])
+    den = inputs.s + inputs.r
+    if den <= 0.0:
+        return 0.0, 1.0
+    return s_val / den, (s_val + inputs.r) / den
 
 
 # ---------------------------------------------------------------------------

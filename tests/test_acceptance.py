@@ -18,14 +18,14 @@ from beliefbounds.exact import bucket_eliminate_marginals, bucket_eliminate_pe
 from beliefbounds.graphs import Cutset
 from beliefbounds.harness import ExperimentConfig, dumps_canonical, run_experiment
 from beliefbounds.model import parse_network
-from beliefbounds.tuples import (
-    ActiveTupleSet,
-    build_truncated_tree,
-    partition_check,
-    select_tuples_gibbs,
-)
+from beliefbounds.tuples import ActiveTupleSet, build_truncated_tree, select_tuples_gibbs
 
-from conftest import lp_basis_enumeration, random_lp, solve_blanket_lp_exact
+from conftest import (
+    lp_basis_enumeration,
+    partition_check,
+    random_lp,
+    solve_blanket_lp_exact,
+)
 
 _REPORTS = None
 _SUITE_SECONDS = None
@@ -236,9 +236,9 @@ def test_criterion_09_lp_relaxation_against_exact_and_enumeration():
 
 def test_criterion_10_bucket_elimination_matches_oracle(acceptance_suite):
     for case in acceptance_suite:
-        pe = bucket_eliminate_pe(case.bn, case.e)
+        pe, tables = bucket_eliminate_marginals(case.bn, case.e)
+        assert pe == bucket_eliminate_pe(case.bn, case.e)
         assert pe == pytest.approx(case.pe, abs=1e-9)
-        tables = bucket_eliminate_marginals(case.bn, case.e)
         for var, want in case.posteriors.items():
             np.testing.assert_allclose(tables[var], want, atol=1e-9)
     print("criterion 10: PASS (bucket elimination vs enumeration)")

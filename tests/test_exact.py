@@ -16,20 +16,18 @@ from beliefbounds.exact import (
     ZeroEvidenceError,
     bucket_eliminate_marginals,
     bucket_eliminate_pe,
-    conditioned_joint,
-    cutset_condition_exact,
     eliminate,
     enumerate_oracle,
     _min_fill_sequence,
     _plan_for,
 )
-from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable
 
 from conftest import (
     barren_network,
     brute_event_mass,
     brute_posteriors,
+    conditioned_joint,
     fraction_event_mass,
     random_evidence,
     random_network,
@@ -234,14 +232,15 @@ class TestMarginals:
             pe, want = brute_posteriors(bn, e)
             if pe <= 0:
                 continue
-            got = bucket_eliminate_marginals(bn, e)
+            got_pe, got = bucket_eliminate_marginals(bn, e)
+            assert got_pe == bucket_eliminate_pe(bn, e)
             for v in range(bn.n):
                 np.testing.assert_allclose(got[v], want[v], atol=1e-9)
 
     def test_observed_variables_become_indicators(self, rng):
         bn = random_network(rng, n=5)
         e = {0: 1}
-        got = bucket_eliminate_marginals(bn, e)
+        _, got = bucket_eliminate_marginals(bn, e)
         expect = np.zeros(bn.cards[0])
         expect[1] = 1.0
         np.testing.assert_array_equal(got[0], expect)
@@ -292,32 +291,6 @@ class TestEnumerateOracle:
         bn = random_network(rng, n=8, max_card=3)
         with pytest.raises(ScopeCapError):
             enumerate_oracle(bn, {}, cap=4)
-
-
-class TestCutsetConditioning:
-    def test_sums_to_bucket_answer(self, rng):
-        for _ in range(15):
-            bn = random_network(rng)
-            e = random_evidence(rng, bn)
-            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
-            if cut.n_tuples > 512:
-                continue
-            try:
-                pe, tables = cutset_condition_exact(bn, e, cut)
-            except ZeroEvidenceError:
-                assert bucket_eliminate_pe(bn, e) == 0.0
-                continue
-            assert pe == pytest.approx(bucket_eliminate_pe(bn, e), abs=1e-10)
-            want = bucket_eliminate_marginals(bn, e)
-            for v in range(bn.n):
-                np.testing.assert_allclose(tables[v], want[v], atol=1e-9)
-
-    def test_tuple_cap(self, rng):
-        bn = random_network(rng, n=10, max_card=3)
-        cut = find_loop_cutset(bn).with_cards(bn)
-        if cut.n_tuples > 2:
-            with pytest.raises(ScopeCapError):
-                cutset_condition_exact(bn, {}, cut, max_tuples=2)
 
 
 class TestKernelSeam:

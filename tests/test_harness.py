@@ -63,8 +63,8 @@ def _report(marginals, s=0.5, r=0.1):
         i_h=r / (s + r),
         evidence=(s, s + r),
         marginals=marginals,
-        bc_marginals=None,
-        bc_evidence=None,
+        bc_marginals=marginals,
+        bc_evidence=(s, s + r),
         clamp_events=0,
         degenerate=(),
         invocations=1,
@@ -389,6 +389,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: line 3: unexpected token '0'")
         assert len(captured.err.splitlines()) == 1
+
+    def test_non_finite_cpt_entry_rejected(self, tmp_path, capsys):
+        net = tmp_path / "nan.uai"
+        net.write_text(DIAMOND_SRC.replace("0.65 0.35", "nan nan"))
+        rc = cli_main(["bounds", "--network", str(net), "--h", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: CPT for variable 0: entries not finite\n"
+
+    def test_negative_evidence_count_rejected(self, diamond_file, tmp_path, capsys):
+        evid = tmp_path / "negative.evid"
+        evid.write_text("-1\n")
+        rc = cli_main(["pe", "--network", diamond_file, "--evidence", str(evid), "--h", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: evidence pair count -1 < 0\n"
 
     def test_h_and_sweep_h_together_rejected(self, diamond_file, capsys):
         rc = cli_main(

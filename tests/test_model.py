@@ -1,7 +1,6 @@
-"""Network model: parsing, validation, assignments, relevance pruning."""
+"""Network model: parsing, validation, assignments, the structure cache."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,24 +11,17 @@ import beliefbounds.model as model_mod
 from beliefbounds.engine import run_engine
 from beliefbounds.model import (
     BayesianNetwork,
-    Cpt,
     NetworkFormatError,
     StructureCache,
-    Variable,
     assignment_tuples,
-    joint_probability,
-    markov_boundary,
     merge_assignment,
     parse_evidence,
     parse_network,
-    relevant_keep_set,
-    relevant_subnetwork,
     validate_evidence,
 )
 
 from conftest import (
     brute_joint,
-    brute_posteriors,
     network_text,
     random_evidence,
     random_network,
@@ -62,9 +54,7 @@ class TestParse:
         assert bn.children == ((1,), (2,), ())
         # child is the trailing scope member; table axes follow scope order.
         np.testing.assert_allclose(bn.cpts[1].table, [[0.7, 0.3], [0.2, 0.8]])
-        assert joint_probability(bn, {0: 0, 1: 1, 2: 0}) == pytest.approx(
-            0.6 * 0.3 * 0.1
-        )
+        assert brute_joint(bn, {0: 0, 1: 1, 2: 0}) == pytest.approx(0.6 * 0.3 * 0.1)
 
     def test_whitespace_layout_irrelevant(self):
         messy = CHAIN_SRC.replace(" 0.6 0.4", "\t0.6\n\n   0.4\n")
@@ -103,6 +93,14 @@ class TestParse:
     def test_row_sum_violation(self):
         src = CHAIN_SRC.replace("0.5 0.5 0.1 0.9", "0.5 0.5 0.1 0.7")
         with pytest.raises(NetworkFormatError, match="sums to"):
+            parse_network(src)
+
+    @pytest.mark.parametrize("row", ["nan nan", "nan 0.5", "inf -inf", "0.5 -nan"])
+    def test_non_finite_entry_rejected(self, row):
+        # every comparison with NaN is false, so range and row-sum checks
+        # alone let it through
+        src = CHAIN_SRC.replace("0.6 0.4", row)
+        with pytest.raises(NetworkFormatError, match="variable 0: entries not finite"):
             parse_network(src)
 
     def test_entry_above_one_rejected(self):
@@ -152,6 +150,12 @@ class TestEvidence:
         assert parse_evidence("2\n0 1\n3 0\n") == {0: 1, 3: 0}
         assert parse_evidence("0\n") == {}
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(NetworkFormatError, match="pair count -1 < 0"):
+            parse_evidence("-1")
+        with pytest.raises(NetworkFormatError, match="pair count -2 < 0"):
+            parse_evidence("-2\n0 1\n")
+
     def test_duplicate_variable(self):
         with pytest.raises(NetworkFormatError, match="duplicate"):
             parse_evidence("2\n1 0\n1 1\n")
@@ -196,116 +200,6 @@ class TestAssignments:
         merged, conflict = merge_assignment({0: 1}, ((0, 1),))
         assert merged == {0: 1}
         assert not conflict
-
-    def test_joint_probability_requires_full_assignment(self):
-        bn = parse_network(CHAIN_SRC)
-        with pytest.raises(ValueError, match="missing"):
-            joint_probability(bn, {0: 0})
-
-    def test_joint_probability_matches_brute_product(self, rng):
-        for _ in range(20):
-            bn = random_network(rng, n=6)
-            full = {v: int(rng.integers(bn.cards[v])) for v in range(bn.n)}
-            assert joint_probability(bn, full) == pytest.approx(
-                brute_joint(bn, full), abs=0, rel=1e-15
-            )
-
-
-class TestMarkovBoundary:
-    def test_chain_middle(self):
-        bn = parse_network(CHAIN_SRC)
-        assert markov_boundary(bn, 1) == {0, 2}
-        assert markov_boundary(bn, 0) == {1}
-        assert markov_boundary(bn, 2) == {1}
-
-    def test_collider_coparents_included(self):
-        # 0 -> 2 <- 1: the boundary of 0 contains the co-parent 1.
-        variables = tuple(Variable(i, f"v{i}", 2) for i in range(3))
-        cpts = (
-            Cpt(0, (), np.array([0.5, 0.5])),
-            Cpt(1, (), np.array([0.5, 0.5])),
-            Cpt(2, (0, 1), np.full((2, 2, 2), 0.5)),
-        )
-        bn = BayesianNetwork(variables, cpts)
-        assert markov_boundary(bn, 0) == {1, 2}
-
-    def test_conditional_independence_given_boundary(self, rng):
-        # P(x | boundary assignment) must be insensitive to any outside var.
-        for _ in range(10):
-            bn = random_network(rng, n=6, max_card=2)
-            x = int(rng.integers(bn.n))
-            mb = markov_boundary(bn, x)
-            outside = [v for v in range(bn.n) if v != x and v not in mb]
-            if not outside:
-                continue
-            other = outside[0]
-            fixed = {v: int(rng.integers(bn.cards[v])) for v in mb}
-            def cond(extra):
-                num = [
-                    brute_posterior_mass(bn, {**fixed, **extra, x: xv})
-                    for xv in range(bn.cards[x])
-                ]
-                z = math.fsum(num)
-                return [n / z for n in num] if z > 0 else None
-            base = cond({})
-            shifted = cond({other: 0})
-            if base is None or shifted is None:
-                continue
-            np.testing.assert_allclose(base, shifted, atol=1e-12)
-
-
-def brute_posterior_mass(bn, fixed):
-    free = [v for v in range(bn.n) if v not in fixed]
-    total = []
-    for vals in itertools.product(*(range(bn.cards[v]) for v in free)):
-        assign = dict(fixed)
-        assign.update(zip(free, vals))
-        total.append(brute_joint(bn, assign))
-    return math.fsum(total)
-
-
-class TestRelevance:
-    def test_keep_set_contains_query_and_is_ancestrally_closed(self, rng):
-        for _ in range(30):
-            bn = random_network(rng)
-            x = int(rng.integers(bn.n))
-            e = {}
-            for v in rng.choice(bn.n, size=min(2, bn.n), replace=False):
-                if int(v) != x:
-                    e[int(v)] = int(rng.integers(bn.cards[v]))
-            keep = relevant_keep_set(bn, x, e)
-            assert x in keep
-            assert set(e) <= keep
-            for v in keep:
-                assert set(bn.parents(v)) <= keep
-
-    def test_posterior_invariant_under_pruning(self, rng):
-        # The posterior of x given e is unchanged in the reindexed subnetwork.
-        for _ in range(15):
-            bn = random_network(rng, n=7)
-            x = int(rng.integers(bn.n))
-            e = {}
-            for v in rng.choice(bn.n, size=2, replace=False):
-                if int(v) != x:
-                    e[int(v)] = int(rng.integers(bn.cards[v]))
-            keep = sorted(relevant_keep_set(bn, x, e))
-            sub = relevant_subnetwork(bn, x, e)
-            remap = {old: new for new, old in enumerate(keep)}
-            pe_full, post_full = brute_posteriors(bn, e)
-            if pe_full <= 0:
-                continue
-            sub_e = {remap[v]: val for v, val in e.items()}
-            _, post_sub = brute_posteriors(sub, sub_e)
-            np.testing.assert_allclose(
-                post_full[x], post_sub[remap[x]], atol=1e-12
-            )
-
-    def test_barren_leaf_dropped(self):
-        bn = parse_network(CHAIN_SRC)
-        # Querying 0 with no evidence: both descendants are barren.
-        assert relevant_keep_set(bn, 0, {}) == frozenset({0})
-        # Evidence on the leaf keeps the whole chain.
-        assert relevant_keep_set(bn, 0, {2: 1}) == frozenset({0, 1, 2})
 
 
 class TestStructureCache:

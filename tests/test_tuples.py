@@ -13,12 +13,12 @@ from beliefbounds.model import BayesianNetwork, Cpt, Variable, assignment_tuples
 from beliefbounds.tuples import (
     ActiveTupleSet,
     build_truncated_tree,
-    partition_check,
     select_tuples_gibbs,
 )
 
 from conftest import (
     brute_event_mass,
+    partition_check,
     random_evidence,
     random_network,
 )
