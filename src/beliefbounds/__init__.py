@@ -35,6 +35,7 @@ from .exact import (
     bucket_eliminate_marginals,
     bucket_eliminate_pe,
     eliminate,
+    eliminate_marginals,
     enumerate_oracle,
 )
 from .graphs import (

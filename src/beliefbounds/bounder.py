@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import eliminate
+# eliminate stays a module attribute: pipebench/tracing.py wraps bounder.eliminate
+from .exact import eliminate, eliminate_marginals  # noqa: F401
 from .model import BayesianNetwork, Evidence, PartialAssignment, ancestors_of, held_bytes
 
 DEFAULT_K = 2**10
@@ -427,7 +428,7 @@ class JointBounder:
 
     def _load_priors(self, partials) -> None:
         """Exact prior of each partial and of its one-variable cutset
-        extensions: one elimination per (assigned variables, kept variable)."""
+        extensions: one bucket-tree pass per set of assigned variables."""
         groups: dict[tuple[int, ...], dict] = {}
         for pairs in partials:
             assigned = dict(pairs)
@@ -437,12 +438,10 @@ class JointBounder:
             n = len(members)
             rows = list(members.values())
             batch = {v: np.array([a[v] for a in rows], dtype=np.int64) for v in avars}
-            priors = eliminate(self.bn, batch, ()).reshape(n).tolist()
-            ext = {
-                v: eliminate(self.bn, batch, (v,)).reshape(n, self.bn.cards[v])
-                for v in self._free_vars(rows[0])
-                if v in cset
-            }
+            wanted = [v for v in self._free_vars(rows[0]) if v in cset]
+            total, beliefs = eliminate_marginals(self.bn, batch, wanted)
+            priors = total.reshape(n).tolist()
+            ext = {v: beliefs[v].reshape(n, self.bn.cards[v]) for v in wanted}
             for i, key in enumerate(members):
                 self._priors[key] = (priors[i], {v: t[i] for v, t in ext.items()})
 

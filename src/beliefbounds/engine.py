@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounder import JointBounder, PartialTupleBounds, make_bounder
-from .exact import eliminate
+from .exact import eliminate, eliminate_marginals
 from .graphs import Cutset, find_loop_cutset, find_w_cutset
-from .model import BayesianNetwork, Evidence
+from .model import BayesianNetwork, Evidence, validate_evidence
 from .tuples import ActiveTupleSet, TruncatedTree, build_truncated_tree, select_tuples_gibbs
 
 
@@ -99,13 +99,6 @@ class BoundsReport:
     timings: dict[str, float]
 
 
-def _per_tuple(bn: BayesianNetwork, assigned: dict, keep: tuple[int, ...], h: int):
-    """``eliminate`` over a batch of h tuples, as an (h, *keep cards) array.
-    An empty cutset assigns no array, so its one tuple's table gains the axis."""
-    out = eliminate(bn, assigned, keep)
-    return out.reshape((h,) + tuple(bn.cards[v] for v in keep))
-
-
 def prepare_inputs(
     bn: BayesianNetwork,
     e: Evidence,
@@ -120,16 +113,22 @@ def prepare_inputs(
     t0 = time.perf_counter()
     pe_terms = tuple(float(p) for p in active.pe)
     s = math.fsum(pe_terms)
-    # every active tuple assigns the same variables: one batched elimination
-    # per kept variable serves them all (the cutset value wins over evidence)
+    # every active tuple assigns the same variables: one batched prior
+    # elimination and one batched bucket-tree pass over the free variables
+    # serve them all (the cutset value wins over evidence). An empty cutset
+    # assigns no array, so its one tuple's results gain the axis by reshape.
     h = active.h
     columns = np.array(active.tuples, dtype=np.int64).reshape(h, len(c.vars)).T
     tuple_values = dict(zip(c.vars, columns))
-    with_evidence = {**e, **tuple_values}
-    priors = _per_tuple(bn, tuple_values, (), h).tolist() if h else []
+    priors = eliminate(bn, tuple_values, ()).reshape(h).tolist() if h else []
     r = 0.0 if tree.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
 
     cutset_pos = {v: k for k, v in enumerate(c.vars)}
+    free = [v for v in range(bn.n) if v not in e and v not in cutset_pos]
+    beliefs = eliminate_marginals(bn, {**e, **tuple_values}, free)[1] if h and free else {}
+    # P(x, c^i, e) <= P(c^i, e): a tuple without evidence mass, such as one
+    # that contradicts the evidence on a shared variable, puts none on x
+    massless = (np.array(pe_terms) == 0.0).reshape(h, 1)
     active_mass: dict[int, np.ndarray] = {}
     for var in range(bn.n):
         if var in e:
@@ -144,7 +143,7 @@ def prepare_inputs(
                 )
             active_mass[var] = mass
         elif h:
-            rows = _per_tuple(bn, with_evidence, (var,), h)
+            rows = np.where(massless, 0.0, beliefs[var].reshape(h, card))
             active_mass[var] = np.array([math.fsum(col) for col in rows.T.tolist()])
         else:
             active_mass[var] = np.zeros(card)
@@ -377,7 +376,9 @@ def select_and_bound(
 ) -> tuple[ActiveTupleSet, JointBounder, float]:
     """Pipeline setup: choose the cutset (unless given), select the h active
     tuples and build the plug-in bounder. Returns (active, bounder, seconds
-    spent selecting tuples)."""
+    spent selecting tuples). Evidence that names a variable or value the
+    network lacks raises ``NetworkFormatError``."""
+    validate_evidence(bn, e)
     if cutset is None:
         if cutset_kind == "loop":
             cutset = find_loop_cutset(bn, exclude=frozenset(e))

@@ -1,17 +1,28 @@
 """Exact inference: bucket elimination and the enumeration oracle.
 
 Bucket elimination is compiled to a reusable *plan* per (network, assigned
-variables, kept variables): the plan fixes the elimination order, every
-intermediate-table layout and the gather index maps for each contraction
-step. Executing a plan with concrete assigned values only slices the leaf
-CPTs and runs the contraction kernel per step, so repeated queries over the
-same structure (e.g. thousands of cutset tuples) avoid all symbolic work.
-A plan takes only the CPTs of the assigned and kept variables and of their
-ancestors: every other variable is barren (its bucket sums to one), so the
-elimination covers the ancestral part of the network alone. Assigned values
-may also be equal-length integer arrays: one execution then evaluates the
-whole batch of assignments along a leading axis, with every entry equal to
-what the one-assignment call gives.
+variables, kept or wanted variables): the plan fixes the elimination order,
+every intermediate-table layout and the gather index maps for each
+contraction step. Executing a plan with concrete assigned values only slices
+the leaf CPTs and runs the contraction kernel per step, so repeated queries
+over the same structure (e.g. thousands of cutset tuples) avoid all symbolic
+work. A plan takes only the CPTs of the assigned, kept and wanted variables
+and of their ancestors: every other variable is barren (its bucket sums to
+one), so the elimination covers the ancestral part of the network alone.
+Assigned values may also be equal-length integer arrays: one execution then
+evaluates the whole batch of assignments along a leading axis, with every
+entry equal to what the one-assignment call gives.
+
+``eliminate`` sums out everything but its kept variables. ``eliminate_marginals``
+gives P(assignments) and the table P(v, assignments) of every wanted variable
+from one plan, a bucket tree: the forward steps eliminate every variable, a
+downward message per bucket on the way to a wanted variable carries the rest
+of the network back, and one belief step per wanted variable combines its
+bucket with that message (Kask, Dechter, Larrosa & Dechter, AIJ 2005).
+Wanted variables that no assigned variable descends from are eliminated
+first, children before parents: each such bucket sums to exactly one, so its
+message is never computed, and the forward steps multiply the CPTs of the
+assigned variables' ancestral set alone, as ``eliminate`` does.
 
 Evidence is absorbed by slicing CPTs before elimination — no zero-padded
 indicator factors, so buckets stay as small as possible.
@@ -63,9 +74,13 @@ class _Plan(NamedTuple):
     # free axes) per leaf that is sliced by the assigned values
     sliced: tuple
     scalar_leaves: tuple  # (CPT table, scope) of CPTs with every axis assigned
-    steps: tuple[_Step, ...]
+    steps: tuple[_Step, ...]  # forward steps, those of messages of ones left out
     final: _Step | None
     keep: tuple[int, ...]
+    # downward messages, parents before children, then one belief step per
+    # wanted variable: (variable, step)
+    down: tuple[_Step, ...]
+    beliefs: tuple[tuple[int, _Step], ...]
     n_slots: int
     peak: int  # largest entry count of one step
 
@@ -111,16 +126,27 @@ def _build_plan(
     assigned: tuple[int, ...],
     keep: tuple[int, ...],
     cap: int,
+    wanted: tuple[int, ...] = (),
 ) -> _Plan:
     assigned_set = set(assigned)
     keep_set = set(keep)
+    if keep and wanted:
+        raise ValueError("a plan either keeps variables or gives beliefs, not both")
     if assigned_set & keep_set:
         raise ValueError("kept variables must not be assigned")
+    if assigned_set & set(wanted):
+        raise ValueError("wanted variables must not be assigned")
     cards = bn.cards
     # only the ancestral set matters: the buckets of every other (barren)
     # variable sum to one, so their CPTs are left out
     relevant = assigned_set | keep_set
     relevant |= ancestors_of(bn, relevant)
+    # wanted variables outside it, and their ancestors outside it, are barren
+    # for the total: they are eliminated first, children before parents, so
+    # that each of their buckets holds its own CPT and messages of ones only
+    barren = set(wanted) - relevant
+    barren |= ancestors_of(bn, barren) - relevant
+    relevant |= barren
 
     leaves = []
     sliced = []
@@ -144,26 +170,54 @@ def _build_plan(
             leaves.append(None)
         live.append((free, len(live)))
     slot_count = len(live)
+    scopes = {slot: fv for fv, slot in live}
 
-    elim = [v for v in sorted(relevant) if v not in assigned_set and v not in keep_set]
-    seq = _min_fill_sequence(live, elim, keep, cards)
+    elim = [
+        v for v in sorted(relevant)
+        if v not in assigned_set and v not in keep_set and v not in barren
+    ]
 
+    def step(factors, out_vars, summed, out_slot) -> _Step:
+        gathers, n_out, n_sum = _gather_maps([scopes[s] for s in factors], out_vars, summed, cards)
+        return _Step(tuple(factors), gathers, n_out, n_sum, out_slot)
+
+    # The bucket of a variable barren for the total holds its own CPT and
+    # messages of ones only, so it sums to exactly one. Its message keeps its
+    # place in the tree but is never computed, and every step leaves it out:
+    # multiplying by sums that are one up to rounding would only add rounding.
+    ones: set[int] = set()
     steps: list[_Step] = []
+    # (variable, separator, factor slots, out slot) per bucket, ones included
+    buckets: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
+    bucket_of: dict[int, int] = {}
     peak = 1
-    for v in seq:
+
+    def eliminate_var(v):
+        nonlocal slot_count, peak
         bucket = [f for f in live if v in f[0]]
         if not bucket:
-            continue
-        live = [f for f in live if v not in f[0]]
+            return
+        live[:] = [f for f in live if v not in f[0]]
         out_vars = tuple(sorted({u for fv, _ in bucket for u in fv if u != v}))
         size = math.prod([cards[u] for u in out_vars]) * cards[v]
         if size > cap:
             raise ScopeCapError(f"bucket for variable {v} needs {size} entries (cap {cap})")
         peak = max(peak, size)
-        gathers, n_out, n_sum = _gather_maps([fv for fv, _ in bucket], out_vars, (v,), cards)
-        steps.append(_Step(tuple(slot for _, slot in bucket), gathers, n_out, n_sum, slot_count))
+        if v in barren:
+            ones.add(slot_count)
+        else:
+            steps.append(step([s for _, s in bucket if s not in ones], out_vars, (v,), slot_count))
+        bucket_of[v] = len(buckets)
+        buckets.append((v, out_vars, tuple(slot for _, slot in bucket), slot_count))
         live.append((out_vars, slot_count))
+        scopes[slot_count] = out_vars
         slot_count += 1
+
+    for v in reversed(bn.topo_order):
+        if v in barren:
+            eliminate_var(v)
+    for v in _min_fill_sequence(live, elim, keep, cards):
+        eliminate_var(v)
 
     final = None
     if live:
@@ -173,8 +227,56 @@ def _build_plan(
         if size > cap:
             raise ScopeCapError(f"output table needs {size} entries (cap {cap})")
         peak = max(peak, size)
-        gathers, n_out, _ = _gather_maps([fv for fv, _ in live], keep, (), cards)
-        final = _Step(tuple(slot for _, slot in live), gathers, n_out, 1, -1)
+    final_factors = [slot for _, slot in live if slot not in ones]
+    if final_factors:
+        final = step(final_factors, keep, (), -1)
+
+    # the bucket tree: each step's output feeds the step that takes it next,
+    # or the final product; a downward message to a bucket is its parent's
+    # other factors times the parent's own message, summed to the separator.
+    # Every one is as large as the parent's forward step, every belief as
+    # large as its bucket's, so the cap check above covers them all.
+    parent = {}
+    for i, (_, _, slots, _) in enumerate(buckets):
+        for slot in slots:
+            parent[slot] = i
+    needed = set()
+    for w in wanted:
+        i = bucket_of[w]
+        while i is not None and i not in needed:
+            needed.add(i)
+            i = parent.get(buckets[i][3])  # None: it feeds the final product
+    down: list[_Step] = []
+    down_slot: dict[int, int | None] = {}
+    for i in sorted(needed, reverse=True):
+        _, sep, _, own = buckets[i]
+        p = parent.get(own)
+        if p is None:
+            factors = [s for s in final_factors if s != own]
+            bucket_vars: tuple[int, ...] = ()
+        else:
+            pv, psep, pslots, _ = buckets[p]
+            factors = [s for s in pslots if s != own and s not in ones]
+            if down_slot[p] is not None:
+                factors.append(down_slot[p])
+            bucket_vars = psep + (pv,)
+        summed = tuple(sorted(set(bucket_vars) - set(sep)))
+        if not factors:  # the parent holds nothing else: a message of ones
+            if summed:
+                raise AssertionError("a message of ones would sum out a variable")
+            down_slot[i] = None
+            continue
+        down.append(step(factors, sep, summed, slot_count))
+        down_slot[i] = slot_count
+        scopes[slot_count] = sep
+        slot_count += 1
+    beliefs = []
+    for w in wanted:
+        i = bucket_of[w]
+        factors = [s for s in buckets[i][2] if s not in ones]
+        if down_slot[i] is not None:
+            factors.append(down_slot[i])
+        beliefs.append((w, step(factors, (w,), buckets[i][1], -1)))
     return _Plan(
         leaves=tuple(leaves),
         sliced=tuple(sliced),
@@ -182,6 +284,8 @@ def _build_plan(
         steps=tuple(steps),
         final=final,
         keep=keep,
+        down=tuple(down),
+        beliefs=tuple(beliefs),
         n_slots=slot_count,
         peak=peak,
     )
@@ -246,17 +350,44 @@ def _min_fill_sequence(live, elim, keep, cards) -> list[int]:
     return seq
 
 
-def _plan_for(bn, assigned_vars: tuple[int, ...], keep: tuple[int, ...], cap: int):
-    key = ("plan", assigned_vars, keep, cap)
+def _plan_for(
+    bn, assigned_vars: tuple[int, ...], keep: tuple[int, ...], cap: int,
+    wanted: tuple[int, ...] = (),
+):
+    key = ("plan", assigned_vars, keep, wanted, cap)
     plan = bn._cache.get(key)
     if plan is None:
-        plan = _build_plan(bn, assigned_vars, keep, cap)
-        steps = plan.steps + ((plan.final,) if plan.final else ())
+        plan = _build_plan(bn, assigned_vars, keep, cap, wanted)
+        steps = plan.steps + ((plan.final,) if plan.final else ()) + plan.down
+        steps += tuple(step for _, step in plan.beliefs)
         arrays = [g for step in steps for g in step.gathers]
         arrays += [t for t in plan.leaves if t is not None]
         arrays += [t for _, t, _, _ in plan.sliced] + [t for t, _ in plan.scalar_leaves]
         bn._cache.put(key, plan, held_bytes(arrays))
     return plan
+
+
+def _run(bn: BayesianNetwork, assignments, keep, wanted, cap):
+    """(table, beliefs) of one plan over the assignments, in chunks whose
+    every step stays within the table cap."""
+    assign = dict(assignments)
+    plan = _plan_for(bn, tuple(sorted(assign)), keep, cap, wanted)
+    batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
+    lengths = {assign[v].shape for v in batched}
+    if len(lengths) > 1 or any(len(shape) > 1 for shape in lengths):
+        raise ValueError(f"batched values must be 1-D arrays of one length, got {lengths}")
+    n = lengths.pop()[0] if lengths else 0
+    chunk = max(1, cap // plan.peak)
+    if n <= chunk:
+        return _execute(bn, plan, assign)
+    parts = [
+        _execute(bn, plan, {**assign, **{v: assign[v][i:i + chunk] for v in batched}})
+        for i in range(0, n, chunk)
+    ]
+    return (
+        np.concatenate([out for out, _ in parts]),
+        {v: np.concatenate([b[v] for _, b in parts]) for v in wanted},
+    )
 
 
 def eliminate(
@@ -273,25 +404,22 @@ def eliminate(
     equal-length 1-D integer arrays; with arrays the table gains a leading
     batch axis whose row i is the table of the i-th assignment.
     """
-    assign = dict(assignments)
-    plan = _plan_for(bn, tuple(sorted(assign)), tuple(keep), cap)
-    batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
-    lengths = {assign[v].shape for v in batched}
-    if len(lengths) > 1 or any(len(shape) > 1 for shape in lengths):
-        raise ValueError(f"batched values must be 1-D arrays of one length, got {lengths}")
-    n = lengths.pop()[0] if lengths else 0
-    # a batch runs in chunks whose every step stays within the table cap
-    chunk = max(1, cap // plan.peak)
-    if n <= chunk:
-        return _execute(bn, plan, assign)
-    parts = [
-        _execute(bn, plan, {**assign, **{v: assign[v][i:i + chunk] for v in batched}})
-        for i in range(0, n, chunk)
-    ]
-    return np.concatenate(parts)
+    return _run(bn, assignments, tuple(keep), (), cap)[0]
 
 
-def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict) -> np.ndarray:
+def eliminate_marginals(
+    bn: BayesianNetwork, assignments, wanted
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """(P(assignments), {v: table of P(v=x, assignments) over x}) for every
+    unassigned ``v`` in ``wanted``, from one bucket-tree plan.
+
+    Assignments are taken as by ``eliminate``, batches included: with array
+    values the total and every table gain the leading batch axis.
+    """
+    return _run(bn, assignments, (), tuple(sorted(set(wanted))), DEFAULT_TABLE_CAP)
+
+
+def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict):
     # looked up per call, not bound at import, so that a stand-in (such as
     # the benchmark's counting proxy) swapped into kernels.active sees every
     # contraction
@@ -305,7 +433,8 @@ def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict) -> np.ndarray:
     for table, scope in plan.scalar_leaves:
         const = const * table[tuple(assign[v] for v in scope)]
 
-    for step in plan.steps:
+    # the downward messages read forward messages only, never the final product
+    for step in plan.steps + plan.down:
         tables = [slots[s] for s in step.factor_slots]
         slots[step.out_slot] = contract(tables, step.gathers, step.n_out, step.n_sum)
 
@@ -318,7 +447,14 @@ def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict) -> np.ndarray:
         out = flat.reshape(flat.shape[:-1] + shape)
     if plan.scalar_leaves:  # a batch of constants multiplies row by row
         out = out * np.reshape(const, np.shape(const) + (1,) * len(shape))
-    return out
+    beliefs = {}
+    for v, step in plan.beliefs:
+        tables = [slots[s] for s in step.factor_slots]
+        table = contract(tables, step.gathers, step.n_out, step.n_sum)
+        if plan.scalar_leaves:
+            table = table * np.reshape(const, np.shape(const) + (1,))
+        beliefs[v] = table
+    return out, beliefs
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ broken by lowest vertex id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import BayesianNetwork
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .engine import BoundsReport, compute_report, prepare_inputs, select_and_bound
 from .exact import ScopeCapError, ZeroEvidenceError, bucket_eliminate_marginals
-from .model import parse_evidence, parse_network, validate_evidence
+from .model import parse_evidence, parse_network
 
 
 @dataclass
@@ -255,7 +255,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     try:
         bn = parse_network(Path(cfg.network).read_text())
         e = parse_evidence(Path(cfg.evidence).read_text()) if cfg.evidence else {}
-        validate_evidence(bn, e)
 
         if cfg.sweep_h and cfg.h is not None:
             raise ValueError("give one of h / sweep_h, not both")

@@ -85,7 +85,13 @@ def select_tuples_gibbs(
         raise ValueError("h must be >= 0")
 
     if m <= cap:
-        table = eliminate(bn, e, c.vars).reshape(-1)
+        # the cutset's own values replace evidence on shared variables; a
+        # tuple that contradicts that evidence has mass 0
+        grid = eliminate(bn, {v: x for v, x in e.items() if v not in c.vars}, c.vars)
+        for k, v in enumerate(c.vars):
+            if v in e:
+                grid[(slice(None),) * k + (np.arange(c.cards[k]) != e[v],)] = 0.0
+        table = grid.reshape(-1)
         order = sorted(range(m), key=lambda i: (-table[i], i))[:h]
         all_tuples = list(assignment_tuples(c.cards))
         tuples = tuple(all_tuples[i] for i in order)

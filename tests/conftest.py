@@ -17,7 +17,12 @@ from beliefbounds.bounder import (
     PartialTupleBounds,
     _chain_bounds,
 )
-from beliefbounds.exact import bucket_eliminate_pe, eliminate, enumerate_oracle
+from beliefbounds.exact import (
+    bucket_eliminate_pe,
+    eliminate,
+    eliminate_marginals,
+    enumerate_oracle,
+)
 from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable, merge_assignment
 from beliefbounds.tuples import EXHAUSTIVE_CAP, select_tuples_gibbs
@@ -439,23 +444,24 @@ def reference_min_fill_sequence(live, elim, keep, cards) -> list[int]:
 
 def reference_exact_sums(bn: BayesianNetwork, e, active):
     """(tuple priors, active mass of every unobserved non-cutset variable)
-    with one scalar ``eliminate`` per tuple and per (tuple, variable), as
-    ``engine.prepare_inputs`` computed them before it batched over tuples
+    with one scalar ``eliminate`` per tuple for the prior and one scalar
+    ``eliminate_marginals`` per tuple for the masses: what
+    ``engine.prepare_inputs`` must give from its calls batched over tuples
     (a cutset value overrides the evidence on a shared variable)."""
     cvars = active.cutset.vars
     priors = [float(eliminate(bn, dict(zip(cvars, t)), ())) for t in active.tuples]
-    mass = {}
-    for var in range(bn.n):
-        if var in e or var in cvars:
-            continue
-        rows = []
-        for t in active.tuples:
-            assigned = dict(e)
-            assigned.update(zip(cvars, t))
-            rows.append(np.asarray(eliminate(bn, assigned, (var,)), dtype=np.float64))
-        mass[var] = np.array(
-            [math.fsum(float(row[x]) for row in rows) for x in range(bn.cards[var])]
+    free = [v for v in range(bn.n) if v not in e and v not in cvars]
+    rows = []
+    for t in active.tuples:
+        assigned = dict(e)
+        assigned.update(zip(cvars, t))
+        rows.append(eliminate_marginals(bn, assigned, free)[1])
+    mass = {
+        var: np.array(
+            [math.fsum(float(row[var][x]) for row in rows) for x in range(bn.cards[var])]
         )
+        for var in free
+    }
     return priors, mass
 
 

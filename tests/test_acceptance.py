@@ -6,7 +6,6 @@ with nested active prefixes and a shared memoizing bounder per case, exactly
 how the sweep pipeline runs them.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,7 +17,7 @@ from beliefbounds.exact import bucket_eliminate_marginals, bucket_eliminate_pe
 from beliefbounds.graphs import Cutset
 from beliefbounds.harness import ExperimentConfig, dumps_canonical, run_experiment
 from beliefbounds.model import parse_network
-from beliefbounds.tuples import ActiveTupleSet, build_truncated_tree, select_tuples_gibbs
+from beliefbounds.tuples import ActiveTupleSet, build_truncated_tree
 
 from conftest import (
     lp_basis_enumeration,

@@ -7,6 +7,7 @@ import pytest
 
 import beliefbounds.bounder as bounder_mod
 import beliefbounds.engine as engine_mod
+import beliefbounds.exact as exact_mod
 from beliefbounds.bounder import JointBounder, PartialTupleBounds, make_bounder
 from beliefbounds.engine import (
     bounded_conditioning_bounds,
@@ -15,17 +16,23 @@ from beliefbounds.engine import (
     evidence_closed_form,
     marginal_bounds,
     prepare_inputs,
-    remainder_interval_bound,
     run_engine,
 )
 from beliefbounds.exact import enumerate_oracle
 from beliefbounds.graphs import Cutset, find_loop_cutset
-from beliefbounds.model import BayesianNetwork, Cpt, Variable, assignment_tuples
+from beliefbounds.model import (
+    BayesianNetwork,
+    Cpt,
+    NetworkFormatError,
+    Variable,
+    assignment_tuples,
+)
 from beliefbounds.tuples import ActiveTupleSet, select_tuples_gibbs
 
 from conftest import (
     ExactBounder,
     conditioned_joint,
+    grid_network,
     prior_mass_closed_interval,
     random_evidence,
     random_network,
@@ -228,6 +235,35 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="unknown bounder"):
             run_engine(bn, {}, h=1, plugin="bp")
 
+    def test_evidence_outside_the_network_rejected(self):
+        bn = grid_network(3, 3, 0, 1)
+        with pytest.raises(NetworkFormatError, match="variable 8"):
+            run_engine(bn, {8: 5}, h=1)
+        with pytest.raises(NetworkFormatError, match="variable 9"):
+            run_engine(bn, {9: 0}, h=1)
+
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_cutset_sharing_evidence_runs(self, exhaustive):
+        # the cutset names observed variable 4: tuples with 4=1 contradict
+        # the evidence, and the two tuples with 4=0 carry all of P(e); from
+        # h=3 on the active set holds a contradicting tuple
+        bn = grid_network(3, 3, 0, 1)
+        e = {8: 1, 4: 0}
+        cut = Cutset(vars=(4, 1)).with_cards(bn)
+        pe, posteriors = enumerate_oracle(bn, e)
+        for h in range(1, cut.n_tuples + 1):
+            if exhaustive:
+                report = run_engine(bn, e, h=h, cutset=cut)
+            else:  # the Gibbs branch
+                active = select_tuples_gibbs(bn, e, cut, h, cap=0)
+                bounder = make_bounder("bf", bn, e, cut.vars)
+                report = compute_report(prepare_inputs(bn, e, active, bounder))
+            if h >= 2:
+                assert report.s == pytest.approx(pe, rel=1e-12)
+            for var, rows in report.marginals.items():
+                for (low, high), truth in zip(rows, posteriors[var]):
+                    assert low - 1e-12 <= truth <= high + 1e-12
+
 
 class TestPrepareInputs:
     def test_leaves_the_active_set_unchanged(self):
@@ -280,16 +316,18 @@ class TestPrepareInputs:
 
     def test_one_elimination_per_kept_variable(self, rng, monkeypatch):
         # the engine batches over active tuples, the bounder over partials
-        # that assign the same cutset prefix
+        # that assign the same cutset prefix; a bucket-tree pass serves every
+        # kept variable of one assigned set
         calls = {"engine": 0, "bounder": 0}
 
         def counted(mod, name):
-            real = mod.eliminate
+            for attr in ("eliminate", "eliminate_marginals"):
+                real = getattr(mod, attr)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(mod, "eliminate", wrapper)
+                def wrapper(*args, real=real, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                monkeypatch.setattr(mod, attr, wrapper)
 
         counted(engine_mod, "engine")
         counted(bounder_mod, "bounder")
@@ -302,9 +340,34 @@ class TestPrepareInputs:
         active = select_tuples_gibbs(bn, e, cut, 2)
         inputs = prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
         free = [v for v in range(bn.n) if v not in e and v not in cut.vars]
-        assert calls["engine"] == 1 + len(free)
-        depths = {len(p) for p in inputs.tree.partials}
-        assert calls["bounder"] == sum(1 + cut.size - d for d in depths)
+        assert calls["engine"] == 1 + bool(free)
+        assert calls["bounder"] == len({len(p) for p in inputs.tree.partials})
+
+    def test_one_plan_per_assigned_set(self, rng, monkeypatch):
+        # a cold prepare_inputs builds one bucket-tree plan per group of
+        # partials that assign the same cutset prefix, plus the engine's two:
+        # the tuple priors (which the full-length partials share) and the
+        # active masses of the free variables
+        while True:
+            bn = random_network(rng, n=10)
+            e = random_evidence(rng, bn)
+            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+            free = [v for v in range(bn.n) if v not in e and v not in cut.vars]
+            if cut.size >= 2 and cut.n_tuples >= 3 and free:
+                break
+        active = select_tuples_gibbs(bn, e, cut, 2)
+        built = []
+        real = exact_mod._build_plan
+
+        def counting(bn, assigned, *args):
+            built.append(assigned)
+            return real(bn, assigned, *args)
+
+        monkeypatch.setattr(exact_mod, "_build_plan", counting)
+        cold = BayesianNetwork(bn.variables, bn.cpts)  # selection filled bn's cache
+        inputs = prepare_inputs(cold, e, active, make_bounder("bf", cold, e, cut.vars))
+        depths = {len(p) for p in inputs.tree.partials} | {cut.size}
+        assert len(built) == len(depths) + 1
 
     def test_new_evidence_values_add_no_cache_entry(self, rng):
         while True:

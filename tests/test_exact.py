@@ -17,9 +17,11 @@ from beliefbounds.exact import (
     bucket_eliminate_marginals,
     bucket_eliminate_pe,
     eliminate,
+    eliminate_marginals,
     enumerate_oracle,
     _min_fill_sequence,
     _plan_for,
+    _run,
 )
 from beliefbounds.model import BayesianNetwork, Cpt, Variable
 
@@ -200,6 +202,112 @@ class TestAncestralPruning:
             )
             assert held == sorted(_ancestral_set(bn, assigned + keep))
             assert len(taken) == len(held)
+
+
+class TestBucketTree:
+    @staticmethod
+    def _case(seed, batch, barren, zero_rows):
+        """Random network (cards 2-3; with barren leaves, or with hard zeros),
+        scalar evidence, array values on up to two more variables, and a
+        random subset of the remaining variables wanted."""
+        rng = np.random.default_rng(seed)
+        if barren:
+            bn = barren_network(rng, int(rng.integers(2, 5)), n_leaves=int(rng.integers(1, 4)))
+        else:
+            bn = random_network(rng, n=int(rng.integers(2, 7)), zero_rows=zero_rows)
+        order = [int(v) for v in rng.permutation(bn.n)]
+        n_ev = int(rng.integers(0, min(2, bn.n - 1) + 1))
+        e = {v: int(rng.integers(bn.cards[v])) for v in order[:n_ev]}
+        rest = order[n_ev:]
+        n_arr = min(int(rng.integers(1, 3)), len(rest)) if batch else 0
+        arrays = {v: rng.integers(bn.cards[v], size=batch) for v in rest[:n_arr]}
+        wanted = [v for v in rest[n_arr:] if rng.random() < 0.7]
+        return bn, e, arrays, wanted
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([0, 1, 3]),
+        barren=st.booleans(),
+        zero_rows=st.booleans(),
+        chunked=st.booleans(),
+    )
+    def test_every_marginal_is_within_1e13_of_exact_rationals(
+        self, seed, batch, barren, zero_rows, chunked
+    ):
+        bn, e, arrays, wanted = self._case(seed, batch, barren, zero_rows)
+        assigned = {**e, **arrays}
+        if chunked:  # a cap of one step's peak makes every row its own chunk
+            key = tuple(sorted(wanted))
+            cap = _plan_for(bn, tuple(sorted(assigned)), (), DEFAULT_TABLE_CAP, key).peak
+            total, tables = _run(bn, assigned, (), key, cap)
+        else:
+            total, tables = eliminate_marginals(bn, assigned, wanted)
+        assert sorted(tables) == sorted(wanted)
+        lead = (batch,) if batch else ()
+        assert total.shape == lead
+        rows = [{v: int(a[i]) for v, a in arrays.items()} for i in range(batch)] or [{}]
+        if not batch:
+            total = total[None]
+            tables = {v: t[None] for v, t in tables.items()}
+        tolerance = Fraction(1, 10**13)
+        for i, row in enumerate(rows):
+            cases = [(float(total[i]), fraction_event_mass(bn, {**e, **row}))]
+            for v in wanted:
+                assert tables[v].shape == (len(rows), bn.cards[v])
+                want = fraction_event_mass(bn, {**e, **row}, (v,))
+                cases += [(float(got), exact) for got, exact in zip(tables[v][i], want)]
+            for got, exact in cases:
+                # exact zeros must come out as 0.0
+                assert abs(Fraction(got) - exact) <= tolerance * exact, (got, float(exact))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([1, 2, 5]),
+        barren=st.booleans(),
+        zero_rows=st.booleans(),
+    )
+    def test_rows_equal_one_assignment_calls(self, seed, batch, barren, zero_rows):
+        bn, e, arrays, wanted = self._case(seed, batch, barren, zero_rows)
+        total, tables = eliminate_marginals(bn, {**e, **arrays}, wanted)
+        for i in range(batch):
+            one = {v: int(a[i]) for v, a in arrays.items()}
+            one_total, one_tables = eliminate_marginals(bn, {**e, **one}, wanted)
+            assert total[i] == one_total
+            for v in wanted:
+                assert np.array_equal(tables[v][i], one_tables[v])
+
+    def test_no_wanted_variable_is_the_prior_plan(self, rng):
+        for _ in range(10):
+            bn = random_network(rng, n=int(rng.integers(3, 9)))
+            e = random_evidence(rng, bn)
+            total, tables = eliminate_marginals(bn, e, ())
+            assert tables == {}
+            assert total == eliminate(bn, e, ())
+
+    def test_barren_buckets_are_never_computed(self, rng):
+        # every bucket of a variable no assigned one descends from sums to
+        # one: the forward steps are as many as those of the prior plan, and
+        # a total over nothing assigned is exactly 1
+        for _ in range(30):
+            bn = random_network(rng, n=int(rng.integers(2, 9)))
+            e = random_evidence(rng, bn)
+            wanted = [v for v in range(bn.n) if v not in e]
+            tree = _plan_for(bn, tuple(sorted(e)), (), DEFAULT_TABLE_CAP, tuple(wanted))
+            prior = _plan_for(bn, tuple(sorted(e)), (), DEFAULT_TABLE_CAP)
+            assert len(tree.steps) == len(prior.steps)
+            assert eliminate_marginals(bn, {}, range(bn.n))[0] == 1.0
+
+    def test_keep_and_wanted_exclude_each_other(self, rng):
+        bn = random_network(rng, n=4)
+        with pytest.raises(ValueError, match="not both"):
+            _plan_for(bn, (0,), (1,), DEFAULT_TABLE_CAP, (2,))
+
+    def test_wanted_assigned_variable_rejected(self, rng):
+        bn = random_network(rng, n=4)
+        with pytest.raises(ValueError, match="must not be assigned"):
+            eliminate_marginals(bn, {0: 1}, (0, 1))
 
 
 class TestMinFill:

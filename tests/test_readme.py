@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
+from beliefbounds.exact import bucket_eliminate_pe, eliminate
+
 from conftest import grid_network, network_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,9 +38,24 @@ def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
 def test_batched_eliminate_example_runs(tmp_path, monkeypatch, capsys):
     # continues the first example's session
     _write_inputs(tmp_path, monkeypatch)
-    first, batched = _api_examples()
+    first, batched = _api_examples()[:2]
     scope: dict = {}
     exec(compile(first, str(README), "exec"), scope)
     capsys.readouterr()
     exec(compile(batched, str(README), "exec"), scope)
     assert capsys.readouterr().out.strip() == f"({scope['active'].h}, 2)"
+
+
+def test_eliminate_marginals_example_runs(tmp_path, monkeypatch, capsys):
+    # continues the first example's session
+    _write_inputs(tmp_path, monkeypatch)
+    first, _, marginals = _api_examples()
+    scope: dict = {}
+    exec(compile(first, str(README), "exec"), scope)
+    capsys.readouterr()
+    exec(compile(marginals, str(README), "exec"), scope)
+    pe, posterior = capsys.readouterr().out.strip().split(" ", 1)
+    bn, e = scope["bn"], scope["e"]
+    assert float(pe) == pytest.approx(bucket_eliminate_pe(bn, e), rel=1e-12)
+    want = eliminate(bn, e, (7,)) / float(pe)
+    assert ast.literal_eval(posterior) == pytest.approx(want.tolist(), rel=1e-12)

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefbounds.exact import bucket_eliminate_pe
 from beliefbounds.graphs import Cutset, find_loop_cutset
-from beliefbounds.model import BayesianNetwork, Cpt, Variable, assignment_tuples
+from beliefbounds.model import (
+    BayesianNetwork,
+    Cpt,
+    Variable,
+    assignment_tuples,
+    merge_assignment,
+)
 from beliefbounds.tuples import (
     ActiveTupleSet,
     build_truncated_tree,
@@ -18,6 +25,7 @@ from beliefbounds.tuples import (
 
 from conftest import (
     brute_event_mass,
+    grid_network,
     partition_check,
     random_evidence,
     random_network,
@@ -153,6 +161,22 @@ class TestExhaustiveSelection:
         for h in range(m + 1):
             again = select_tuples_gibbs(bn, e, cut, h)
             assert again.tuples == full.prefix(h).tuples
+
+    def test_cutset_sharing_evidence_gives_conflicting_tuples_zero_mass(self):
+        bn = grid_network(3, 3, 0, 1)
+        e = {8: 1, 4: 0}
+        cut = Cutset(vars=(4, 1)).with_cards(bn)  # 4 is also observed
+        want = {}
+        for tup in assignment_tuples(cut.cards):
+            merged, conflict = merge_assignment(e, tuple(zip(cut.vars, tup)))
+            want[tup] = 0.0 if conflict else bucket_eliminate_pe(bn, merged)
+        active = select_tuples_gibbs(bn, e, cut, cut.n_tuples)
+        assert set(active.tuples) == set(want)
+        for tup, pe in zip(active.tuples, active.pe):
+            assert pe == pytest.approx(want[tup], rel=1e-12, abs=0.0)
+        # the sampler path gives the same masses
+        gibbs = select_tuples_gibbs(bn, e, cut, cut.n_tuples, cap=0)
+        assert dict(zip(gibbs.tuples, gibbs.pe.tolist())) == want
 
     def test_h_out_of_range(self, rng):
         bn = random_network(rng, n=5)
