@@ -239,8 +239,8 @@ def _assemble_value(inputs, var: int, value: int, parts):
     if high < 0.0 or high > 1.0:
         high = min(1.0, max(0.0, high))
         clamps += 1
-    if high < low:
-        high = low
+    if high < low:  # crossed: the truth may lie anywhere between the ends
+        low, high = high, low
     return low, high, False, clamps
 
 
@@ -335,8 +335,8 @@ def compute_report(inputs: EngineInputs) -> BoundsReport:
         gl, gh = evidence_bounds(inputs)
         cl, ch = evidence_closed_form(inputs)
         ev = (max(gl, cl), min(gh, ch))
-        if ev[1] < ev[0]:
-            ev = (ev[0], ev[0])
+        if ev[1] < ev[0]:  # crossed: the truth may lie anywhere between the ends
+            ev = (ev[1], ev[0])
     timings = dict(inputs.timings)
     timings["assembly"] = time.perf_counter() - t0
     return BoundsReport(

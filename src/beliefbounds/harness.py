@@ -279,6 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 if cfg.oracle == "on":
                     raise
 
+        echo = cfg.echo()
         runs = []
         summary = []
         timing_rows = []
@@ -289,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             )
             metrics = summarize(report, exact_marginals, exact_pe)
             runs.append(
-                report_payload(report, cfg.echo(), metrics, exact_pe, exact_marginals)
+                report_payload(report, echo, metrics, exact_pe, exact_marginals)
             )
             summary.append(
                 {
@@ -309,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             last_report = report
 
         payload = {
-            "config": cfg.echo(),
+            "config": echo,
             "runs": runs,
             "summary": summary,
             "timings": {"selection": select_time, "runs": timing_rows},

