@@ -375,6 +375,8 @@ class PartialTupleBounds:
     still-free variable v; ``joint`` bounds P(partial, e); ``prior`` is the
     exact prior mass of the partial and ``var_prior[v]`` the exact prior of
     each one-variable cutset extension (the bounders cap ``var_high`` with it).
+    The engine reads every table of every partial in one array pass, so the
+    arrays may be read-only views: the bf bounder's are.
     """
 
     prior: float
@@ -457,26 +459,39 @@ class JointBounder:
 
 
 class PriorMassBounder(JointBounder):
+    """Its tables are read-only views: every ``var_high`` of a partial is a
+    slice of one row, and every ``var_low`` a slice of one zeros array that
+    all partials share."""
+
     name = "bf"
 
+    def __init__(self, bn: BayesianNetwork, e: Evidence, cutset_vars: tuple[int, ...]):
+        super().__init__(bn, e, cutset_vars)
+        # one cell per (unobserved variable, value), variable-major
+        self._slices: dict[int, slice] = {}
+        width = 0
+        for v in self._free_vars({}):
+            self._slices[v] = slice(width, width + bn.cards[v])
+            width += bn.cards[v]
+        self._width = width
+        zeros = np.zeros(width)
+        zeros.flags.writeable = False
+        self._zeros = {v: zeros[sl] for v, sl in self._slices.items()}
+
     def _tables(self, partial: dict) -> PartialTupleBounds:
-        # extension priors: exact prior of (partial + {v=value})
         prior, var_prior = self._prior_tables(partial)
-        var_low: dict[int, np.ndarray] = {}
-        var_high: dict[int, np.ndarray] = {}
-        for v in self._free_vars(partial):
-            card = self.bn.cards[v]
-            var_low[v] = np.zeros(card)
-            if v in var_prior:
-                var_high[v] = np.minimum(var_prior[v], 1.0)
-            else:
-                # value-independent prior mass of the tuple itself
-                var_high[v] = np.full(card, min(prior, 1.0))
+        # the tuple's own prior mass caps every value; a free cutset variable
+        # is capped by its extension priors, exact priors of (partial + {v=x})
+        row = np.full(self._width, min(prior, 1.0))
+        for v, ext in var_prior.items():
+            np.minimum(ext, 1.0, out=row[self._slices[v]])
+        row.flags.writeable = False
+        free = [v for v in self._slices if v not in partial]
         return PartialTupleBounds(
             prior=prior,
             joint=(0.0, min(prior, 1.0)),
-            var_low=var_low,
-            var_high=var_high,
+            var_low={v: self._zeros[v] for v in free},
+            var_high={v: row[self._slices[v]] for v in free},
             var_prior=var_prior,
             cost=1,
         )

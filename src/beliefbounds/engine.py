@@ -8,7 +8,8 @@ marginals of every unobserved variable (cutset members included), for P(e),
 plus the classic prior-remainder baseline and the width guarantee that only
 depends on how much prior mass the active tuples cover.
 
-Per-partial bounder tables are computed once and shared by every query.
+Per-partial bounder tables are computed once and shared by every query;
+assembly reads all of them in one array pass per report.
 ``select_and_bound`` is the one setup path (cutset, tuple selection, bounder)
 behind both ``run_engine`` and the experiment harness.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -180,43 +182,80 @@ def prepare_inputs(
 
 def _partial_terms(inputs: EngineInputs, var: int):
     """Per-partial contributions (NL, den_term, NU, oL) for every query value
-    of ``var``: one tuple of four lists per value.
+    of ``var``: one tuple of four lists per value, from the array pass of
+    ``_terms_by_var`` over ``var`` alone. Reports take that pass once over
+    every query variable."""
+    return next(_terms_by_var(inputs, (var,)))[1]
 
-    NL/NU bound the mass of the partial that lands on the query value;
-    den_term is the lower-denominator cap min(NL + other-upper, tuple upper);
-    oL lower-bounds the mass on the other values. The sums over a partial's
-    extension table are taken once and serve every value.
+
+def _terms_by_var(inputs: EngineInputs, qvars):
+    """Yields ``(var, [(NL, den_term, NU, oL) per value])`` for every
+    variable of ``qvars``, each entry a list over the partials, from one
+    array pass.
+
+    The cells are the (variable, value) pairs of ``qvars``, variable-major.
+    Every partial's extension tables fill one row of an (m' x cells) low and
+    high array; cells of a cutset variable that the partial pins come from
+    its joint interval instead. NL/NU bound the mass of the partial that
+    lands on the query value; den_term is the lower-denominator cap
+    min(NL + other-upper, tuple upper); oL lower-bounds the mass on the other
+    values. Each operation is the elementwise one a per-value loop would
+    take, and each per-variable sum is numpy's sum over that variable's
+    values, so every term is the float such a loop gives.
     """
-    k = inputs.cutset_pos.get(var)
-    values = range(inputs.bn.cards[var])
-    per_value = [([], [], [], []) for _ in values]
+    cards = inputs.bn.cards
+    widths = [cards[v] for v in qvars]
+    starts = list(accumulate(widths, initial=0))[:-1]
+    n_cells = sum(widths)
+    m = len(inputs.tables)
+    cut = inputs.cutset.vars
+    pads = {v: np.zeros(cards[v]) for v in qvars}
+    pinned_by_depth = [frozenset(cut[:depth]) for depth in range(len(cut) + 1)]
+    low_blocks, high_blocks = [], []
     for vals, tab in zip(inputs.tree.partials, inputs.tables):
-        jl, ju = tab.joint
-        if k is not None and k < len(vals):
-            for value, (nls, terms, nus, ols) in zip(values, per_value):
-                if vals[k] == value:
-                    nls.append(jl)
-                    terms.append(jl)
-                    nus.append(ju)
-                    ols.append(0.0)
-                else:
-                    nls.append(0.0)
-                    terms.append(ju)
-                    nus.append(0.0)
-                    ols.append(jl)
-            continue
-        lows = tab.var_low[var]
-        highs = tab.var_high[var]
-        low_sum = lows.sum()
-        high_sum = highs.sum()
-        for value, (nls, terms, nus, ols) in zip(values, per_value):
-            nl = float(lows[value])
-            ou = float(high_sum - highs[value])
-            nls.append(nl)
-            terms.append(min(nl + ou, ju))
-            nus.append(min(float(highs[value]), ju))
-            ols.append(float(low_sum - lows[value]))
-    return per_value
+        pinned = pinned_by_depth[len(vals)]
+        lows, highs = tab.var_low, tab.var_high
+        low_blocks += [pads[v] if v in pinned else lows[v] for v in qvars]
+        high_blocks += [pads[v] if v in pinned else highs[v] for v in qvars]
+    if low_blocks:
+        low = np.concatenate(low_blocks).reshape(m, n_cells)
+        high = np.concatenate(high_blocks).reshape(m, n_cells)
+    else:
+        low = high = np.zeros((m, n_cells))
+
+    # per-variable sums, spread back over the variable's cells
+    low_sum = np.empty_like(low)
+    high_sum = np.empty_like(high)
+    by_card: dict[int, list[int]] = {}
+    for start, width in zip(starts, widths):
+        by_card.setdefault(width, []).extend(range(start, start + width))
+    for width, cols in by_card.items():
+        shape = (m, len(cols) // width, width)
+        low_sum[:, cols] = np.repeat(low[:, cols].reshape(shape).sum(axis=2), width, axis=1)
+        high_sum[:, cols] = np.repeat(high[:, cols].reshape(shape).sum(axis=2), width, axis=1)
+
+    # the value each partial pins in each cell's variable, -1 where it is free
+    pinned_vals = np.full((m, len(cut) + 1), -1, dtype=np.int64)
+    for j, vals in enumerate(inputs.tree.partials):
+        pinned_vals[j, : len(vals)] = vals
+    cell_pos = np.repeat(
+        np.array([inputs.cutset_pos.get(v, len(cut)) for v in qvars], dtype=np.int64), widths
+    )
+    cell_val = np.arange(n_cells) - np.repeat(np.array(starts, dtype=np.int64), widths)
+    pin = pinned_vals[:, cell_pos]
+    pinned = pin >= 0
+    match = pin == cell_val
+    joints = np.array([t.joint for t in inputs.tables], dtype=np.float64).reshape(m, 2)
+    jl, ju = joints[:, :1], joints[:, 1:]
+
+    nl = np.where(pinned, np.where(match, jl, 0.0), low)
+    term = np.where(pinned, np.where(match, jl, ju), np.minimum(low + (high_sum - high), ju))
+    nu = np.where(pinned, np.where(match, ju, 0.0), np.minimum(high, ju))
+    ol = np.where(pinned, np.where(match, 0.0, jl), low_sum - low)
+    # one variable's lists at a time: converting every cell at once would
+    # hold all 4 x m' x cells Python floats at the same time
+    for v, a, w in zip(qvars, starts, widths):
+        yield v, list(zip(*(t[:, a: a + w].T.tolist() for t in (nl, term, nu, ol))))
 
 
 def _assemble_value(inputs, var: int, value: int, parts):
@@ -245,14 +284,14 @@ def _assemble_value(inputs, var: int, value: int, parts):
 
 
 def _marginal_table(inputs: EngineInputs, var: int):
-    hit = inputs._marg_cache.get(var)
-    if hit is None:
-        hit = tuple(
-            _assemble_value(inputs, var, x, parts)
-            for x, parts in enumerate(_partial_terms(inputs, var))
-        )
-        inputs._marg_cache[var] = hit
-    return hit
+    """``_assemble_value`` of every value of ``var``; the first call
+    assembles every query variable at once."""
+    if not inputs._marg_cache:
+        inputs._marg_cache.update({
+            v: tuple(_assemble_value(inputs, v, x, parts) for x, parts in enumerate(per_value))
+            for v, per_value in _terms_by_var(inputs, inputs.query_vars())
+        })
+    return inputs._marg_cache[var]
 
 
 def marginal_bounds(inputs: EngineInputs, var: int, value: int) -> tuple[float, float]:

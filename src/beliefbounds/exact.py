@@ -467,17 +467,20 @@ def bucket_eliminate_pe(bn: BayesianNetwork, e: Evidence) -> float:
 
 def bucket_eliminate_marginals(bn: BayesianNetwork, e: Evidence):
     """(P(e), posterior tables P(x | e) for every variable), the shape
-    ``enumerate_oracle`` returns; observed variables get indicators."""
+    ``enumerate_oracle`` returns; observed variables get indicators. One
+    bucket-tree pass gives every unobserved variable's P(x, e)."""
     pe = bucket_eliminate_pe(bn, e)
     if pe == 0.0:
         raise ZeroEvidenceError("P(e) = 0; posteriors undefined")
+    unobserved = [v for v in range(bn.n) if v not in e]
+    joints = eliminate_marginals(bn, e, unobserved)[1] if unobserved else {}
     out: dict[int, np.ndarray] = {}
     for v in range(bn.n):
         if v in e:
             t = np.zeros(bn.cards[v])
             t[e[v]] = 1.0
         else:
-            t = eliminate(bn, e, (v,)) / pe
+            t = joints[v] / pe
         out[v] = t
     return pe, out
 

@@ -93,6 +93,8 @@ def select_tuples_gibbs(
         raise ValueError(f"h={h} exceeds cutset space M={m}")
     if h < 0:
         raise ValueError("h must be >= 0")
+    if h == 0:
+        return ActiveTupleSet(cutset=c, tuples=(), pe=np.array([], dtype=np.float64))
 
     if m <= cap:
         # the cutset's own values replace evidence on shared variables; a

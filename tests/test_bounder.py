@@ -421,6 +421,20 @@ class TestBounderPlugins:
         assert all(np.all(arr == 0.0) for arr in tab.var_high.values())
         assert ab.invocations == 0
 
+    def test_prior_mass_tables_are_read_only(self, rng):
+        bn, e, cvars = self._setting(rng)
+        b = PriorMassBounder(bn, e, cvars)
+        first = b.tuple_tables(((cvars[0], 0),))
+        other = b.tuple_tables(((cvars[0], 1),))
+        v = next(iter(first.var_low))
+        with pytest.raises(ValueError):
+            first.var_low[v][0] = 1.0
+        with pytest.raises(ValueError):
+            first.var_high[v][0] = 1.0
+        # the zeros every partial's var_low shows are shared, and stay zeros
+        assert np.shares_memory(first.var_low[v], other.var_low[v])
+        assert np.all(other.var_low[v] == 0.0)
+
     def test_memoization_counts_each_partial_once(self, rng):
         bn, e, cvars = self._setting(rng)
         b = PriorMassBounder(bn, e, cvars)

@@ -175,6 +175,19 @@ class TestSaturation:
         pe, _ = enumerate_oracle(bn, {4: 0})
         assert lo - 1e-12 <= pe <= hi + 1e-12
 
+    @pytest.mark.parametrize("plugin", ["bf", "abdp"])
+    def test_every_variable_observed(self, plugin):
+        bn = _diamond()
+        e = {0: 1, 1: 0, 2: 1, 3: 1}
+        pe, _ = enumerate_oracle(bn, e)
+        for h in (0, 1):
+            rep = run_engine(bn, e, h=h, plugin=plugin)
+            assert rep.m == 1 and rep.m_prime == 1 - h
+            assert rep.marginals == {} and rep.bc_marginals == {}
+            lo, hi = rep.evidence
+            assert lo - 1e-12 <= pe <= hi + 1e-12
+        assert hi - lo <= 1e-12  # h = 1: the one tuple is exact
+
 
 class TestDegenerateAndClamps:
     def test_impossible_evidence_saturated_flags_degenerate(self):
@@ -441,6 +454,14 @@ class TestPrepareInputs:
         assert len(bn._cache) == size
 
 
+def _assert_terms_match_reference(inputs):
+    for var in inputs.query_vars():
+        got = engine_mod._partial_terms(inputs, var)
+        assert len(got) == inputs.bn.cards[var]
+        for value, parts in enumerate(got):
+            assert parts == reference_partial_terms(inputs, var, value)
+
+
 class TestAssembly:
     @pytest.mark.parametrize("plugin", ["bf", "abdp"])
     def test_terms_equal_the_per_value_reference(self, rng, plugin):
@@ -460,6 +481,63 @@ class TestAssembly:
                 for value, parts in enumerate(got):
                     assert parts == reference_partial_terms(inputs, var, value)
             checked += 1
+
+    @staticmethod
+    def _loopy_case(rng, **kw):
+        while True:
+            bn = random_network(rng, n=int(rng.integers(5, 9)), **kw)
+            e = random_evidence(rng, bn)
+            cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+            if cut.vars and 3 <= cut.n_tuples <= 64:
+                return bn, e, cut
+
+    @pytest.mark.parametrize("plugin", ["bf", "abdp"])
+    def test_saturated_set_has_no_partial_terms(self, rng, plugin):
+        bn, e, cut = self._loopy_case(rng)
+        active = select_tuples_gibbs(bn, e, cut, cut.n_tuples)
+        inputs = prepare_inputs(bn, e, active, make_bounder(plugin, bn, e, cut.vars, iters=5))
+        assert inputs.m_prime == 0
+        _assert_terms_match_reference(inputs)
+        for var in inputs.query_vars():
+            assert all(parts == ([], [], [], []) for parts in engine_mod._partial_terms(inputs, var))
+
+    @pytest.mark.parametrize("plugin", ["bf", "abdp"])
+    def test_empty_set_has_the_one_empty_partial(self, rng, plugin):
+        bn, e, cut = self._loopy_case(rng)
+        active = select_tuples_gibbs(bn, e, cut, 0)
+        inputs = prepare_inputs(bn, e, active, make_bounder(plugin, bn, e, cut.vars, iters=5))
+        assert inputs.tree.partials == ((),)
+        _assert_terms_match_reference(inputs)
+
+    @pytest.mark.parametrize("plugin", ["bf", "abdp"])
+    def test_ternary_cutset_and_free_variables(self, rng, plugin):
+        checked = 0
+        while checked < 3:
+            bn, e, cut = self._loopy_case(rng, max_card=3)
+            free = [v for v in range(bn.n) if v not in e and v not in cut.vars]
+            if 3 not in cut.cards or all(bn.cards[v] != 3 for v in free):
+                continue
+            for h in (1, cut.n_tuples // 2):
+                active = select_tuples_gibbs(bn, e, cut, h)
+                bounder = make_bounder(plugin, bn, e, cut.vars, iters=5)
+                _assert_terms_match_reference(prepare_inputs(bn, e, active, bounder))
+            checked += 1
+
+    @pytest.mark.parametrize("plugin", ["bf", "abdp"])
+    def test_evidence_on_all_but_one_variable(self, rng, plugin):
+        for _ in range(4):
+            bn = random_network(rng, n=6)
+            v = int(rng.integers(bn.n))
+            e = {u: int(rng.integers(bn.cards[u])) for u in range(bn.n) if u != v}
+            # the one free variable alone, and as the cutset
+            for cut in (Cutset(vars=()), Cutset(vars=(v,))):
+                cut = cut.with_cards(bn)
+                for h in range(cut.n_tuples + 1):
+                    active = select_tuples_gibbs(bn, e, cut, h)
+                    bounder = make_bounder(plugin, bn, e, cut.vars, iters=5)
+                    inputs = prepare_inputs(bn, e, active, bounder)
+                    assert inputs.query_vars() == (v,)
+                    _assert_terms_match_reference(inputs)
 
 
 class TestInvocationAccounting:

@@ -319,6 +319,20 @@ class TestBatchedChain:
         assert active.h == h
         assert len(calls) <= _state_changes(bn, e, cut, sweeps, seed) + 2 + padded
 
+    @pytest.mark.parametrize("cap", [0, 4096])  # the sampling and the exhaustive branch
+    def test_h_zero_eliminates_nothing(self, monkeypatch, cap):
+        bn = grid_network(5, 5, 1)
+        e = {24: 1, 12: 0}
+        cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+        assert cut.n_tuples <= 4096
+        calls = []
+        run = exact_mod._run
+        monkeypatch.setattr(exact_mod, "_run", lambda *a: calls.append(1) or run(*a))
+        active = select_tuples_gibbs(bn, e, cut, 0, cap=cap)
+        assert calls == []
+        assert active.tuples == () and active.pe.dtype == np.float64 and active.pe.size == 0
+        assert active.cutset.cards == cut.cards
+
 
 class TestPartitionCheck:
     def test_masses_sum_to_event_probability(self, rng):
