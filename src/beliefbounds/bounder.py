@@ -11,8 +11,8 @@ Two implementations of the same contract:
   intersects with the prior-mass interval so it can only be tighter.
 
 Both also produce batched per-tuple tables for the engine: one joint interval
-plus, for every still-free variable, bounds on P(value, partial, e) for all
-its values at once — two plug-in invocations per partial tuple.
+plus two rows, over one cell layout the bounder owns, that bound
+P(x, partial, e) for every value x of every still-free variable.
 """
 
 from __future__ import annotations
@@ -371,25 +371,32 @@ def _chain_bounds(bn, e, merged: dict, prior: float, k, iters):
 class PartialTupleBounds:
     """Batched bounder output for one partial tuple.
 
-    ``var_low[v][x]``/``var_high[v][x]`` bound P(x, partial, e) for every
-    still-free variable v; ``joint`` bounds P(partial, e); ``prior`` is the
-    exact prior mass of the partial and ``var_prior[v]`` the exact prior of
-    each one-variable cutset extension (the bounders cap ``var_high`` with it).
-    The engine reads every table of every partial in one array pass, so the
-    arrays may be read-only views: the bf bounder's are.
+    ``low`` and ``high`` are rows over the bounder's cell layout (see
+    ``JointBounder``): ``low[cells[v]][x]``/``high[cells[v]][x]`` bound
+    P(v=x, partial, e) for every variable v the partial leaves free. The
+    cells of the variables the partial pins are never read. ``joint`` bounds
+    P(partial, e); ``prior`` is the exact prior mass of the partial and
+    ``var_prior[v]`` the exact prior of each one-variable cutset extension
+    (the bounders cap ``high`` with it). The engine only reads the rows, so
+    they may be read-only and shared between partials: the bf bounder's are.
     """
 
     prior: float
     joint: tuple[float, float]
-    var_low: dict[int, np.ndarray]
-    var_high: dict[int, np.ndarray]
+    low: np.ndarray
+    high: np.ndarray
     var_prior: dict[int, np.ndarray]
     cost: int
 
 
 class JointBounder:
     """Contract: ``tuple_tables`` gives sound bounds on the joints of a
-    partial cutset tuple with the evidence (see ``PartialTupleBounds``)."""
+    partial cutset tuple with the evidence (see ``PartialTupleBounds``).
+
+    ``cells[v]`` is the slice of variable v's values in every ``low``/``high``
+    row, and ``width`` the length of a row: one cell per (unobserved
+    variable, value), variable-major in variable id order.
+    """
 
     name = "?"
 
@@ -400,11 +407,26 @@ class JointBounder:
         self.invocations = 0
         self._memo: dict = {}
         self._priors: dict = {}  # loaded by tables_for, taken by _tables
+        self.cells: dict[int, slice] = {}
+        width = 0
+        for v in self._free_vars({}):
+            self.cells[v] = slice(width, width + bn.cards[v])
+            width += bn.cards[v]
+        self.width = width
+        self._zeros = np.zeros(width)
+        self._zeros.flags.writeable = False
 
     def _free_vars(self, assigned: dict) -> list[int]:
         return [
             v for v in range(self.bn.n) if v not in self.e and v not in assigned
         ]
+
+    def _row(self, tables: dict[int, np.ndarray]) -> np.ndarray:
+        """One row from per-variable arrays, one for every cell variable."""
+        row = np.empty(self.width)
+        for v, sl in self.cells.items():
+            row[sl] = tables[v]
+        return row
 
     def tuple_tables(self, partial: PartialAssignment) -> PartialTupleBounds:
         """Memoized batched tables: each distinct partial is computed and
@@ -459,39 +481,24 @@ class JointBounder:
 
 
 class PriorMassBounder(JointBounder):
-    """Its tables are read-only views: every ``var_high`` of a partial is a
-    slice of one row, and every ``var_low`` a slice of one zeros array that
-    all partials share."""
+    """Its rows are read-only: ``low`` is one zeros row that all partials
+    share."""
 
     name = "bf"
-
-    def __init__(self, bn: BayesianNetwork, e: Evidence, cutset_vars: tuple[int, ...]):
-        super().__init__(bn, e, cutset_vars)
-        # one cell per (unobserved variable, value), variable-major
-        self._slices: dict[int, slice] = {}
-        width = 0
-        for v in self._free_vars({}):
-            self._slices[v] = slice(width, width + bn.cards[v])
-            width += bn.cards[v]
-        self._width = width
-        zeros = np.zeros(width)
-        zeros.flags.writeable = False
-        self._zeros = {v: zeros[sl] for v, sl in self._slices.items()}
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
         prior, var_prior = self._prior_tables(partial)
         # the tuple's own prior mass caps every value; a free cutset variable
         # is capped by its extension priors, exact priors of (partial + {v=x})
-        row = np.full(self._width, min(prior, 1.0))
+        high = np.full(self.width, min(prior, 1.0))
         for v, ext in var_prior.items():
-            np.minimum(ext, 1.0, out=row[self._slices[v]])
-        row.flags.writeable = False
-        free = [v for v in self._slices if v not in partial]
+            np.minimum(ext, 1.0, out=high[self.cells[v]])
+        high.flags.writeable = False
         return PartialTupleBounds(
             prior=prior,
             joint=(0.0, min(prior, 1.0)),
-            var_low={v: self._zeros[v] for v in free},
-            var_high={v: row[self._slices[v]] for v in free},
+            low=self._zeros,
+            high=high,
             var_prior=var_prior,
             cost=1,
         )
@@ -514,14 +521,12 @@ class ChainPropagationBounder(JointBounder):
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
         prior, var_prior = self._prior_tables(partial)
-        free = self._free_vars(partial)
         if prior == 0.0:
-            zeros = {v: np.zeros(self.bn.cards[v]) for v in free}
             return PartialTupleBounds(
                 prior=0.0,
                 joint=(0.0, 0.0),
-                var_low=zeros,
-                var_high={v: z.copy() for v, z in zeros.items()},
+                low=self._zeros,
+                high=self._zeros,
                 var_prior=var_prior,
                 cost=0,
             )
@@ -529,22 +534,17 @@ class ChainPropagationBounder(JointBounder):
         cond = dict(self.e)
         cond.update(partial)
         mb = propagate_marginal_bounds(self.bn, cond, k=self.k, max_iters=self.iters)
-        var_low: dict[int, np.ndarray] = {}
-        var_high: dict[int, np.ndarray] = {}
-        for v in free:
-            lo = mb.lows[v] * jl
-            hi = mb.highs[v] * jh
-            if v in var_prior:
-                hi = np.minimum(hi, var_prior[v])
-            else:
-                hi = np.minimum(hi, prior)
-            var_low[v] = np.minimum(lo, hi)
-            var_high[v] = hi
+        # the prior caps every value, a free cutset variable's extension
+        # priors cap its own
+        cap = np.full(self.width, prior)
+        for v, ext in var_prior.items():
+            cap[self.cells[v]] = ext
+        high = np.minimum(self._row(mb.highs) * jh, cap)
         return PartialTupleBounds(
             prior=prior,
             joint=(jl, jh),
-            var_low=var_low,
-            var_high=var_high,
+            low=np.minimum(self._row(mb.lows) * jl, high),
+            high=high,
             var_prior=var_prior,
             cost=2,
         )

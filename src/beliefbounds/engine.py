@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -107,7 +106,11 @@ def prepare_inputs(
     active: ActiveTupleSet,
     bounder: JointBounder,
 ) -> EngineInputs:
-    """Exact sums over the active set plus plug-in tables over the partials."""
+    """Exact sums over the active set plus plug-in tables over the partials.
+    A bounder built for another network, evidence or cutset raises
+    ``ValueError``: its tables would bound other joints."""
+    if bounder.bn is not bn or bounder.e != e or bounder.cutset_vars != active.cutset.vars:
+        raise ValueError("the bounder was built for another network, evidence or cutset")
     c = active.cutset if active.cutset.cards else active.cutset.with_cards(bn)
     tree = build_truncated_tree(c, active)
     timings: dict[str, float] = {}
@@ -180,48 +183,29 @@ def prepare_inputs(
 # ---------------------------------------------------------------------------
 # generic assembly
 
-def _partial_terms(inputs: EngineInputs, var: int):
-    """Per-partial contributions (NL, den_term, NU, oL) for every query value
-    of ``var``: one tuple of four lists per value, from the array pass of
-    ``_terms_by_var`` over ``var`` alone. Reports take that pass once over
-    every query variable."""
-    return next(_terms_by_var(inputs, (var,)))[1]
+def _terms_by_var(inputs: EngineInputs):
+    """Yields ``(var, [(NL, den_term, NU, oL) per value])`` for every query
+    variable, each entry a list over the partials, from one array pass.
 
-
-def _terms_by_var(inputs: EngineInputs, qvars):
-    """Yields ``(var, [(NL, den_term, NU, oL) per value])`` for every
-    variable of ``qvars``, each entry a list over the partials, from one
-    array pass.
-
-    The cells are the (variable, value) pairs of ``qvars``, variable-major.
-    Every partial's extension tables fill one row of an (m' x cells) low and
-    high array; cells of a cutset variable that the partial pins come from
-    its joint interval instead. NL/NU bound the mass of the partial that
+    The cells are those of the bounder's layout (``JointBounder.cells``):
+    every partial's ``low``/``high`` row is one row of an (m' x cells) low and
+    high array, and cells of a cutset variable that the partial pins come
+    from its joint interval instead. NL/NU bound the mass of the partial that
     lands on the query value; den_term is the lower-denominator cap
     min(NL + other-upper, tuple upper); oL lower-bounds the mass on the other
     values. Each operation is the elementwise one a per-value loop would
     take, and each per-variable sum is numpy's sum over that variable's
     values, so every term is the float such a loop gives.
     """
-    cards = inputs.bn.cards
-    widths = [cards[v] for v in qvars]
-    starts = list(accumulate(widths, initial=0))[:-1]
-    n_cells = sum(widths)
+    cells = inputs.bounder.cells
+    qvars = list(cells)
+    starts = [sl.start for sl in cells.values()]
+    widths = [sl.stop - sl.start for sl in cells.values()]
+    n_cells = inputs.bounder.width
     m = len(inputs.tables)
     cut = inputs.cutset.vars
-    pads = {v: np.zeros(cards[v]) for v in qvars}
-    pinned_by_depth = [frozenset(cut[:depth]) for depth in range(len(cut) + 1)]
-    low_blocks, high_blocks = [], []
-    for vals, tab in zip(inputs.tree.partials, inputs.tables):
-        pinned = pinned_by_depth[len(vals)]
-        lows, highs = tab.var_low, tab.var_high
-        low_blocks += [pads[v] if v in pinned else lows[v] for v in qvars]
-        high_blocks += [pads[v] if v in pinned else highs[v] for v in qvars]
-    if low_blocks:
-        low = np.concatenate(low_blocks).reshape(m, n_cells)
-        high = np.concatenate(high_blocks).reshape(m, n_cells)
-    else:
-        low = high = np.zeros((m, n_cells))
+    low = np.array([t.low for t in inputs.tables], dtype=np.float64).reshape(m, n_cells)
+    high = np.array([t.high for t in inputs.tables], dtype=np.float64).reshape(m, n_cells)
 
     # per-variable sums, spread back over the variable's cells
     low_sum = np.empty_like(low)
@@ -260,7 +244,7 @@ def _terms_by_var(inputs: EngineInputs, qvars):
 
 def _assemble_value(inputs, var: int, value: int, parts):
     """Returns (L, U, degenerate, clamp_events) for one (variable, value)
-    from that value's ``_partial_terms`` entry."""
+    from that value's ``_terms_by_var`` entry."""
     s_val = float(inputs.active_mass[var][value])
     nls, terms, nus, ols = parts
     num_l = math.fsum([s_val] + nls)
@@ -289,7 +273,7 @@ def _marginal_table(inputs: EngineInputs, var: int):
     if not inputs._marg_cache:
         inputs._marg_cache.update({
             v: tuple(_assemble_value(inputs, v, x, parts) for x, parts in enumerate(per_value))
-            for v, per_value in _terms_by_var(inputs, inputs.query_vars())
+            for v, per_value in _terms_by_var(inputs)
         })
     return inputs._marg_cache[var]
 
@@ -416,8 +400,12 @@ def select_and_bound(
     """Pipeline setup: choose the cutset (unless given), select the h active
     tuples and build the plug-in bounder. Returns (active, bounder, seconds
     spent selecting tuples). Evidence that names a variable or value the
-    network lacks raises ``NetworkFormatError``."""
+    network lacks raises ``NetworkFormatError``; ``k < 0``, ``iters < 1`` or
+    ``sweeps < 0`` raises ``ValueError``."""
     validate_evidence(bn, e)
+    for name, value, least in (("k", k, 0), ("iters", iters, 1), ("sweeps", sweeps, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if cutset is None:
         if cutset_kind == "loop":
             cutset = find_loop_cutset(bn, exclude=frozenset(e))

@@ -21,9 +21,6 @@ class UndirectedGraph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 

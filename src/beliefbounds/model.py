@@ -359,25 +359,6 @@ def ancestors_of(bn: BayesianNetwork, seeds: set[int]) -> set[int]:
     return out
 
 
-def merge_assignment(e: Evidence, a: PartialAssignment | None, extra=None):
-    """Merge evidence, a partial assignment and an optional (var, value) pair.
-
-    Returns (merged dict, conflict flag). A conflict means the same variable
-    is assigned two different values; callers treat that event as probability
-    zero rather than an error.
-    """
-    merged = dict(e)
-    conflict = False
-    items = list(a or ())
-    if extra is not None:
-        items.append(tuple(extra))
-    for var, val in items:
-        if var in merged and merged[var] != val:
-            conflict = True
-        merged[var] = val
-    return merged, conflict
-
-
 def assignment_tuples(cards: tuple[int, ...]):
     """Lexicographic enumeration of all value tuples for the given cards."""
     if not cards:

@@ -29,7 +29,6 @@ from beliefbounds.model import (
     Cpt,
     Variable,
     assignment_tuples,
-    merge_assignment,
 )
 from beliefbounds.tuples import (
     EXHAUSTIVE_CAP,
@@ -453,6 +452,37 @@ def reference_min_fill_sequence(live, elim, keep, cards) -> list[int]:
     return seq
 
 
+def merge_assignment(e, a, extra=None):
+    """Merge evidence, a partial assignment and an optional (var, value) pair.
+
+    Returns (merged dict, conflict flag). A conflict means the same variable
+    is assigned two different values; callers treat that event as probability
+    zero rather than an error.
+    """
+    merged = dict(e)
+    conflict = False
+    items = list(a or ())
+    if extra is not None:
+        items.append(tuple(extra))
+    for var, val in items:
+        if var in merged and merged[var] != val:
+            conflict = True
+        merged[var] = val
+    return merged, conflict
+
+
+def free_cells(bounder, partial, tab=None) -> dict:
+    """{variable: (low, high)} for every cell variable that ``partial`` (pairs
+    or a dict) leaves free: the per-variable slices of ``tab``'s rows, by
+    default the bounder's own tables of ``partial``."""
+    pinned = dict(partial)
+    if tab is None:
+        tab = bounder.tuple_tables(tuple(pinned.items()))
+    return {
+        v: (tab.low[sl], tab.high[sl]) for v, sl in bounder.cells.items() if v not in pinned
+    }
+
+
 def reference_exact_sums(bn: BayesianNetwork, e, active):
     """(tuple priors, active mass of every unobserved non-cutset variable)
     with one scalar ``eliminate`` per tuple for the prior and one scalar
@@ -478,7 +508,7 @@ def reference_exact_sums(bn: BayesianNetwork, e, active):
 
 def reference_partial_terms(inputs, var: int, value: int):
     """Per-partial (NL, den_term, NU, oL) lists for one query value, summing
-    each partial's extension tables anew: what ``engine._partial_terms``
+    each partial's extension tables anew: what ``engine._terms_by_var``
     must give for that value."""
     k = inputs.cutset_pos.get(var)
     nls, terms, nus, ols = [], [], [], []
@@ -496,8 +526,7 @@ def reference_partial_terms(inputs, var: int, value: int):
                 nus.append(0.0)
                 ols.append(jl)
             continue
-        lows = tab.var_low[var]
-        highs = tab.var_high[var]
+        lows, highs = free_cells(inputs.bounder, zip(inputs.cutset.vars, vals), tab)[var]
         nl = float(lows[value])
         ou = float(highs.sum() - highs[value])
         nls.append(nl)
@@ -633,15 +662,13 @@ class ExactBounder(JointBounder):
         assigned.update(partial)
         prior = brute_event_mass(self.bn, partial) if partial else 1.0
         mass = brute_event_mass(self.bn, assigned)
-        var_low, var_high, var_prior = {}, {}, {}
+        exact, var_prior = np.zeros(self.width), {}
         cset = set(self.cutset_vars)
         for v in self._free_vars(partial):
             card = self.bn.cards[v]
-            exact = np.array(
-                [brute_event_mass(self.bn, {**assigned, v: x}) for x in range(card)]
-            )
-            var_low[v] = exact
-            var_high[v] = exact.copy()
+            exact[self.cells[v]] = [
+                brute_event_mass(self.bn, {**assigned, v: x}) for x in range(card)
+            ]
             if v in cset:
                 var_prior[v] = np.array(
                     [brute_event_mass(self.bn, {**partial, v: x}) for x in range(card)]
@@ -649,8 +676,8 @@ class ExactBounder(JointBounder):
         return PartialTupleBounds(
             prior=prior,
             joint=(mass, mass),
-            var_low=var_low,
-            var_high=var_high,
+            low=exact,
+            high=exact,
             var_prior=var_prior,
             cost=1,
         )

@@ -21,7 +21,7 @@ import numpy as np
 from beliefbounds.bounder import ChainPropagationBounder, propagate_marginal_bounds
 from beliefbounds.graphs import find_loop_cutset
 
-from conftest import grid_network, random_evidence, random_network
+from conftest import free_cells, grid_network, random_evidence, random_network
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "abdp_golden.json")
 
@@ -52,12 +52,14 @@ def _marginals(mb) -> dict:
     }
 
 
-def _tables(tab) -> dict:
+def _tables(bounder, partial) -> dict:
+    tab = bounder.tuple_tables(partial)
+    cells = free_cells(bounder, partial, tab)
     return {
         "prior": tab.prior,
         "joint": list(tab.joint),
-        "var_low": [[v, tab.var_low[v].tolist()] for v in sorted(tab.var_low)],
-        "var_high": [[v, tab.var_high[v].tolist()] for v in sorted(tab.var_high)],
+        "var_low": [[v, low.tolist()] for v, (low, _) in cells.items()],
+        "var_high": [[v, high.tolist()] for v, (_, high) in cells.items()],
         "var_prior": [[v, tab.var_prior[v].tolist()] for v in sorted(tab.var_prior)],
         "cost": tab.cost,
     }
@@ -81,7 +83,7 @@ def snapshot() -> str:
                 "propagate": _marginals(
                     propagate_marginal_bounds(bn, cond, k=k, max_iters=iters)
                 ),
-                "tables": _tables(bounder.tuple_tables(partial)),
+                "tables": _tables(bounder, partial),
             })
         out[name] = entry
     return json.dumps(out, indent=1, sort_keys=True) + "\n"

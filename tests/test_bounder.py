@@ -27,6 +27,7 @@ from conftest import (
     brute_event_mass,
     brute_posteriors,
     chain_joint_bounds,
+    free_cells,
     grid_network,
     lp_basis_enumeration,
     prior_mass_bounds,
@@ -375,8 +376,8 @@ class TestBounderPlugins:
             for val in range(bn.cards[v]):
                 want = brute_event_mass(bn, {**dict(partial), v: val})
                 assert arr[val] == pytest.approx(want, abs=1e-12)
-        for v in tab.var_low:
-            assert np.all(tab.var_low[v] == 0.0)
+        for v, (low, high) in free_cells(b, partial, tab).items():
+            assert np.all(low == 0.0)
             truth = np.array(
                 [
                     brute_event_mass(bn, {**dict(partial), **e, v: val})
@@ -385,7 +386,7 @@ class TestBounderPlugins:
                     for val in range(bn.cards[v])
                 ]
             )
-            assert np.all(truth <= tab.var_high[v] + 1e-12)
+            assert np.all(truth <= high + 1e-12)
 
     def test_chain_tables_sound_and_inside_prior_tables(self, rng):
         for _ in range(6):
@@ -399,13 +400,14 @@ class TestBounderPlugins:
             assert t_ab.joint[0] - 1e-9 <= truth_joint <= t_ab.joint[1] + 1e-9
             assert t_ab.joint[0] >= t_bf.joint[0] - 1e-15
             assert t_ab.joint[1] <= t_bf.joint[1] + 1e-15
-            for v in t_ab.var_low:
-                assert np.all(t_ab.var_low[v] >= t_bf.var_low[v] - 1e-15)
-                assert np.all(t_ab.var_high[v] <= t_bf.var_high[v] + 1e-15)
+            bf_cells = free_cells(bf, partial, t_bf)
+            for v, (low, high) in free_cells(ab, partial, t_ab).items():
+                assert np.all(low >= bf_cells[v][0] - 1e-15)
+                assert np.all(high <= bf_cells[v][1] + 1e-15)
                 for val in range(bn.cards[v]):
                     want = brute_event_mass(bn, {**dict(partial), **e, v: val})
-                    assert t_ab.var_low[v][val] - 1e-9 <= want
-                    assert want <= t_ab.var_high[v][val] + 1e-9
+                    assert low[val] - 1e-9 <= want
+                    assert want <= high[val] + 1e-9
 
     def test_zero_prior_partial_costs_nothing(self, rng):
         variables = (Variable(0, "a", 2), Variable(1, "b", 2))
@@ -418,7 +420,7 @@ class TestBounderPlugins:
         tab = ab.tuple_tables(((0, 1),))
         assert tab.cost == 0
         assert tab.joint == (0.0, 0.0)
-        assert all(np.all(arr == 0.0) for arr in tab.var_high.values())
+        assert np.all(tab.high == 0.0)
         assert ab.invocations == 0
 
     def test_prior_mass_tables_are_read_only(self, rng):
@@ -426,14 +428,13 @@ class TestBounderPlugins:
         b = PriorMassBounder(bn, e, cvars)
         first = b.tuple_tables(((cvars[0], 0),))
         other = b.tuple_tables(((cvars[0], 1),))
-        v = next(iter(first.var_low))
         with pytest.raises(ValueError):
-            first.var_low[v][0] = 1.0
+            first.low[0] = 1.0
         with pytest.raises(ValueError):
-            first.var_high[v][0] = 1.0
-        # the zeros every partial's var_low shows are shared, and stay zeros
-        assert np.shares_memory(first.var_low[v], other.var_low[v])
-        assert np.all(other.var_low[v] == 0.0)
+            first.high[0] = 1.0
+        # every partial's low is one shared zeros row, and it stays zeros
+        assert first.low is other.low
+        assert np.all(other.low == 0.0)
 
     def test_memoization_counts_each_partial_once(self, rng):
         bn, e, cvars = self._setting(rng)

@@ -1,5 +1,6 @@
 """Assembly of exact active sums and plug-in partial tables into intervals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import beliefbounds.bounder as bounder_mod
 import beliefbounds.engine as engine_mod
 import beliefbounds.exact as exact_mod
-from beliefbounds.bounder import JointBounder, PartialTupleBounds, make_bounder
+from beliefbounds.bounder import JointBounder, PartialTupleBounds, PriorMassBounder, make_bounder
 from beliefbounds.engine import (
     bounded_conditioning_bounds,
     compute_report,
@@ -210,13 +211,12 @@ class TestDegenerateAndClamps:
             name = "stub"
 
             def _tables(self, partial):
-                free = self._free_vars(partial)
-                big = {v: np.full(self.bn.cards[v], 5.0) for v in free}
+                big = np.full(self.width, 5.0)
                 return PartialTupleBounds(
                     prior=1.0,
                     joint=(0.0, 0.1),
-                    var_low={v: a.copy() for v, a in big.items()},
-                    var_high=big,
+                    low=big,
+                    high=big,
                     var_prior={},
                     cost=1,
                 )
@@ -240,12 +240,11 @@ class _CrossingBounder(JointBounder):
     name = "crossing"
 
     def _tables(self, partial):
-        free = self._free_vars(partial)
         return PartialTupleBounds(
             prior=1.0,
             joint=(0.9, 0.95),
-            var_low={v: np.full(self.bn.cards[v], 0.4) for v in free},
-            var_high={v: np.zeros(self.bn.cards[v]) for v in free},
+            low=np.full(self.width, 0.4),
+            high=np.zeros(self.width),
             var_prior={},
             cost=1,
         )
@@ -331,6 +330,20 @@ class TestQueryValidation:
 
 
 class TestPrepareInputs:
+    def test_mismatched_bounder_rejected(self):
+        # an abdp bounder for evidence {8: 0} would bound joints with 8=0
+        bn = grid_network(3, 3, 1, 0)
+        e = {8: 1}
+        cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
+        active = select_tuples_gibbs(bn, e, cut, 1)
+        for bounder in (
+            make_bounder("abdp", bn, {8: 0}, cut.vars),
+            make_bounder("abdp", grid_network(3, 3, 1, 0), e, cut.vars),
+            make_bounder("abdp", bn, e, cut.vars[1:]),
+        ):
+            with pytest.raises(ValueError, match="another network, evidence or cutset"):
+                prepare_inputs(bn, e, active, bounder)
+
     def test_leaves_the_active_set_unchanged(self):
         bn = _diamond()
         e = {3: 1}
@@ -454,15 +467,48 @@ class TestPrepareInputs:
         assert len(bn._cache) == size
 
 
+def _terms(inputs) -> dict:
+    return dict(engine_mod._terms_by_var(inputs))
+
+
 def _assert_terms_match_reference(inputs):
+    terms = _terms(inputs)
+    assert list(terms) == list(inputs.query_vars())
     for var in inputs.query_vars():
-        got = engine_mod._partial_terms(inputs, var)
+        got = terms[var]
         assert len(got) == inputs.bn.cards[var]
         for value, parts in enumerate(got):
             assert parts == reference_partial_terms(inputs, var, value)
 
 
+class _JunkPinnedBounder(PriorMassBounder):
+    """bf with 7.0 in every cell of the variables a partial pins."""
+
+    def _tables(self, partial):
+        tab = super()._tables(partial)
+        low, high = tab.low.copy(), tab.high.copy()
+        for v in partial:
+            if v in self.cells:
+                low[self.cells[v]] = high[self.cells[v]] = 7.0
+        return dataclasses.replace(tab, low=low, high=high)
+
+
 class TestAssembly:
+    def test_pinned_cells_are_never_read(self, rng):
+        pinned = 0
+        for _ in range(4):
+            bn, e, cut = self._loopy_case(rng, max_card=3)
+            for h in sorted({0, 1, cut.n_tuples // 2}):
+                active = select_tuples_gibbs(bn, e, cut, h)
+                plain = prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
+                junk = prepare_inputs(bn, e, active, _JunkPinnedBounder(bn, e, cut.vars))
+                pinned += sum(len(vals) > 0 for vals in junk.tree.partials)
+                want, got = compute_report(plain), compute_report(junk)
+                for f in dataclasses.fields(want):
+                    if f.name != "timings":
+                        assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert pinned > 0
+
     @pytest.mark.parametrize("plugin", ["bf", "abdp"])
     def test_terms_equal_the_per_value_reference(self, rng, plugin):
         checked = 0
@@ -474,12 +520,7 @@ class TestAssembly:
                 continue
             active = select_tuples_gibbs(bn, e, cut, cut.n_tuples // 3)
             bounder = make_bounder(plugin, bn, e, cut.vars, iters=5)
-            inputs = prepare_inputs(bn, e, active, bounder)
-            for var in inputs.query_vars():
-                got = engine_mod._partial_terms(inputs, var)
-                assert len(got) == bn.cards[var]
-                for value, parts in enumerate(got):
-                    assert parts == reference_partial_terms(inputs, var, value)
+            _assert_terms_match_reference(prepare_inputs(bn, e, active, bounder))
             checked += 1
 
     @staticmethod
@@ -498,8 +539,8 @@ class TestAssembly:
         inputs = prepare_inputs(bn, e, active, make_bounder(plugin, bn, e, cut.vars, iters=5))
         assert inputs.m_prime == 0
         _assert_terms_match_reference(inputs)
-        for var in inputs.query_vars():
-            assert all(parts == ([], [], [], []) for parts in engine_mod._partial_terms(inputs, var))
+        for per_value in _terms(inputs).values():
+            assert all(parts == ([], [], [], []) for parts in per_value)
 
     @pytest.mark.parametrize("plugin", ["bf", "abdp"])
     def test_empty_set_has_the_one_empty_partial(self, rng, plugin):

@@ -307,6 +307,11 @@ class TestRunExperiment:
             run_experiment(
                 ExperimentConfig(network=diamond_file, h=1, oracle="always")
             )
+        for knob, value in (("k", -1), ("iters", 0), ("iters", -3), ("sweeps", -1)):
+            with pytest.raises(ValueError, match=f"{knob} must be at least"):
+                run_experiment(ExperimentConfig(network=diamond_file, h=1, **{knob: value}))
+        (run,) = run_experiment(ExperimentConfig(network=diamond_file, h=1, sweeps=0))["runs"]
+        assert run["h"] == 1
 
     def test_oracle_modes(self, tmp_path, diamond_file):
         # "off" never computes references; "auto" degrades quietly on

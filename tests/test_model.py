@@ -14,7 +14,6 @@ from beliefbounds.model import (
     NetworkFormatError,
     StructureCache,
     assignment_tuples,
-    merge_assignment,
     parse_evidence,
     parse_network,
     validate_evidence,
@@ -22,6 +21,7 @@ from beliefbounds.model import (
 
 from conftest import (
     brute_joint,
+    merge_assignment,
     network_text,
     random_evidence,
     random_network,

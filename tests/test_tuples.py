@@ -16,7 +16,6 @@ from beliefbounds.model import (
     Cpt,
     Variable,
     assignment_tuples,
-    merge_assignment,
 )
 from beliefbounds.tuples import (
     ActiveTupleSet,
@@ -29,6 +28,7 @@ from conftest import (
     brute_event_mass,
     conditioned_joint,
     grid_network,
+    merge_assignment,
     partition_check,
     random_evidence,
     random_network,
