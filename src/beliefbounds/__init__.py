@@ -40,13 +40,9 @@ from .exact import (
 )
 from .graphs import (
     Cutset,
-    UndirectedGraph,
     find_loop_cutset,
     find_w_cutset,
-    induced_width,
     is_loop_cutset,
-    min_fill_ordering,
-    moral_graph,
 )
 from .harness import (
     ExperimentConfig,

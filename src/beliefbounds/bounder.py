@@ -272,6 +272,11 @@ def _greedy_bounds(st: dict, states: dict, lows: dict, highs: dict):
     ]
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def propagate_marginal_bounds(
     bn: BayesianNetwork,
     e: Evidence,
@@ -286,8 +291,10 @@ def propagate_marginal_bounds(
     boundary (restricted to the variable's relevant subnetwork) and intersect,
     so intervals never widen. Variables whose full boundary domain exceeds
     ``k`` are skipped and keep [0, 1]. Observed variables are pinned to their
-    indicator.
+    indicator. ``k < 0`` or ``max_iters < 1`` raises ``ValueError``.
     """
+    _at_least("k", k, 0)
+    _at_least("max_iters", max_iters, 1)
     lows: dict[int, np.ndarray] = {}
     highs: dict[int, np.ndarray] = {}
     for v in range(bn.n):
@@ -312,7 +319,7 @@ def propagate_marginal_bounds(
 
     states: dict = {}
     iters = 0
-    for _ in range(max(1, max_iters)):
+    for _ in range(max_iters):
         iters += 1
         delta = 0.0
         for v in sweep_vars:
@@ -558,6 +565,10 @@ def make_bounder(
     k: int = DEFAULT_K,
     iters: int = DEFAULT_MAX_ITERS,
 ) -> JointBounder:
+    """The plug-in bounder of the given kind. ``k < 0`` or ``iters < 1``
+    raises ``ValueError`` for either kind."""
+    _at_least("k", k, 0)
+    _at_least("iters", iters, 1)
     if kind == "bf":
         return PriorMassBounder(bn, e, cutset_vars)
     if kind == "abdp":

@@ -403,9 +403,6 @@ def select_and_bound(
     network lacks raises ``NetworkFormatError``; ``k < 0``, ``iters < 1`` or
     ``sweeps < 0`` raises ``ValueError``."""
     validate_evidence(bn, e)
-    for name, value, least in (("k", k, 0), ("iters", iters, 1), ("sweeps", sweeps, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
     if cutset is None:
         if cutset_kind == "loop":
             cutset = find_loop_cutset(bn, exclude=frozenset(e))
@@ -414,10 +411,11 @@ def select_and_bound(
         else:
             raise ValueError(f"unknown cutset kind {cutset_kind!r}")
     cutset = cutset if cutset.cards else cutset.with_cards(bn)
+    # built first, so that a bad bounder knob fails before any inference
+    bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters)
     t0 = time.perf_counter()
     active = select_tuples_gibbs(bn, e, cutset, h, sweeps=sweeps, seed=seed)
     select_s = time.perf_counter() - t0
-    bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters)
     return active, bounder, select_s
 
 

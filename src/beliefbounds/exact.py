@@ -31,13 +31,13 @@ indicator factors, so buckets stay as small as possible.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
+from .graphs import min_fill_order
 from .model import BayesianNetwork, Evidence, ancestors_of, held_bytes
 
 #: Largest intermediate table (entries) a plan may create; exceeding it is an
@@ -216,7 +216,7 @@ def _build_plan(
     for v in reversed(bn.topo_order):
         if v in barren:
             eliminate_var(v)
-    for v in _min_fill_sequence(live, elim, keep, cards):
+    for v in min_fill_order([fv for fv, _ in live], elim, keep)[0]:
         eliminate_var(v)
 
     final = None
@@ -289,65 +289,6 @@ def _build_plan(
         n_slots=slot_count,
         peak=peak,
     )
-
-
-def _min_fill_sequence(live, elim, keep, cards) -> list[int]:
-    """Min-fill over the factor interaction graph; kept variables stay.
-
-    Eliminates, at each step, the variable with the smallest (fill edges,
-    degree, id). Keys are kept per variable and updated where elimination
-    changes them: the eliminated variable's neighbours are scored again, and
-    a variable next to both ends of a new fill edge has one pair fewer to fill.
-    """
-    adj: dict[int, set[int]] = {v: set() for v in elim}
-    for v in keep:
-        adj.setdefault(v, set())
-    for fv, _ in live:
-        for a in fv:
-            for b in fv:
-                if a != b:
-                    adj.setdefault(a, set()).add(b)
-
-    def key(v):
-        nbrs = adj[v]
-        d = len(nbrs)
-        # ordered pairs of neighbours, less those already adjacent
-        missing = d * (d - 1) - sum(map(len, map(nbrs.intersection, map(adj.get, nbrs))))
-        return (missing // 2, d, v)
-
-    keys = {v: key(v) for v in elim}
-    heap = list(keys.values())
-    heapq.heapify(heap)
-    seq = []
-    while keys:
-        entry = heapq.heappop(heap)
-        best = entry[2]
-        if keys.get(best) != entry:
-            continue  # stale: the variable was rescored or already eliminated
-        del keys[best]
-        seq.append(best)
-        nbrs = adj.pop(best)
-        for u in nbrs:
-            adj[u].discard(best)
-        filled: dict[int, int] = {}
-        for u in nbrs:
-            for w in nbrs - adj[u]:
-                if u < w:  # each new edge u-w once (excludes u itself)
-                    for x in adj[u] & adj[w]:
-                        filled[x] = filled.get(x, 0) + 1
-        for u in nbrs:
-            adj[u] |= nbrs
-            adj[u].discard(u)
-        for x, n in filled.items():
-            if x in keys and x not in nbrs:
-                fill, deg, _ = keys[x]
-                keys[x] = (fill - n, deg, x)
-                heapq.heappush(heap, keys[x])
-        for u in nbrs:
-            if u in keys:
-                keys[u] = key(u)
-                heapq.heappush(heap, keys[u])
-    return seq
 
 
 def _plan_for(

@@ -1,4 +1,8 @@
-"""Moral graphs, elimination orderings, induced width, cutset selection.
+"""Min-fill elimination orders, loop cutsets and w-cutsets.
+
+``min_fill_order`` is the one elimination-order heuristic: every exact plan
+eliminates in its order, and ``find_w_cutset`` measures width with it, so a
+w-cutset's promise holds for the plans that sum its tuples.
 
 Cutset quality only affects efficiency downstream — every selection here is
 verified post-hoc (is_loop_cutset / width check) and deterministic, with ties
@@ -7,35 +11,11 @@ broken by lowest vertex id.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from .model import BayesianNetwork
-
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    n: int
-    adj: tuple[frozenset[int], ...]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-
-def graph_from_edges(n: int, edges) -> UndirectedGraph:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    return UndirectedGraph(n, tuple(frozenset(a) for a in adj))
-
-
-Ordering = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,70 +44,70 @@ class Cutset:
         return Cutset(self.vars, self.kind, self.w, tuple(bn.cards[v] for v in self.vars))
 
 
-def moral_graph(bn: BayesianNetwork) -> UndirectedGraph:
-    """Undirected skeleton plus marriage edges between co-parents."""
-    edges = []
-    for cpt in bn.cpts:
-        for p in cpt.parents:
-            edges.append((p, cpt.child))
-        ps = cpt.parents
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                edges.append((ps[i], ps[j]))
-    return graph_from_edges(bn.n, edges)
+# ---------------------------------------------------------------------------
+# min-fill
 
+def min_fill_order(scopes, elim, keep=()) -> tuple[list[int], int]:
+    """Min-fill over the interaction graph of the scopes; kept variables stay.
 
-def induced_width(g: UndirectedGraph, o: Ordering) -> int:
-    """Width of the ordered graph, processing vertices from last to first.
-
-    Each processed vertex counts its earlier-ordered neighbors and connects
-    them pairwise (triangulation on a working copy).
+    Returns (order, width): the order eliminates ``elim`` and width is the
+    most neighbours a variable has when it is eliminated. Eliminates, at each
+    step, the variable with the smallest (fill edges, degree, id). Keys are
+    kept per variable and updated where elimination changes them: the
+    eliminated variable's neighbours are scored again, and a variable next to
+    both ends of a new fill edge has one pair fewer to fill.
     """
-    if sorted(o) != list(range(g.n)):
-        raise ValueError("ordering must be a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(o)}
-    adj = [set(a) for a in g.adj]
+    adj: dict[int, set[int]] = {v: set() for v in elim}
+    for v in keep:
+        adj.setdefault(v, set())
+    for scope in scopes:
+        for a in scope:
+            for b in scope:
+                if a != b:
+                    adj.setdefault(a, set()).add(b)
+
+    def key(v):
+        nbrs = adj[v]
+        d = len(nbrs)
+        # ordered pairs of neighbours, less those already adjacent
+        missing = d * (d - 1) - sum(map(len, map(nbrs.intersection, map(adj.get, nbrs))))
+        return (missing // 2, d, v)
+
+    keys = {v: key(v) for v in elim}
+    heap = list(keys.values())
+    heapq.heapify(heap)
+    seq = []
     width = 0
-    for v in reversed(o):
-        earlier = [u for u in adj[v] if pos[u] < pos[v]]
-        width = max(width, len(earlier))
-        for i in range(len(earlier)):
-            for j in range(i + 1, len(earlier)):
-                a, b = earlier[i], earlier[j]
-                adj[a].add(b)
-                adj[b].add(a)
-        for u in earlier:
-            adj[u].discard(v)
-        adj[v] = set()
-    return width
-
-
-def min_fill_ordering(g: UndirectedGraph) -> Ordering:
-    """Greedy min-fill elimination order, returned so that processing the
-    ordering last-to-first eliminates in greedy pick order. Deterministic:
-    ties broken by lowest id."""
-    adj = [set(a) for a in g.adj]
-    remaining = set(range(g.n))
-    picks: list[int] = []
-    while remaining:
-        best_v, best_fill = -1, None
-        for v in sorted(remaining):
-            nbrs = [u for u in adj[v] if u in remaining]
-            fill = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in adj[nbrs[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        nbrs = [u for u in adj[best_v] if u in remaining]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                adj[nbrs[i]].add(nbrs[j])
-                adj[nbrs[j]].add(nbrs[i])
-        remaining.discard(best_v)
-        picks.append(best_v)
-    return tuple(reversed(picks))
+    while keys:
+        entry = heapq.heappop(heap)
+        best = entry[2]
+        if keys.get(best) != entry:
+            continue  # stale: the variable was rescored or already eliminated
+        del keys[best]
+        seq.append(best)
+        nbrs = adj.pop(best)
+        width = max(width, len(nbrs))
+        for u in nbrs:
+            adj[u].discard(best)
+        filled: dict[int, int] = {}
+        for u in nbrs:
+            for w in nbrs - adj[u]:
+                if u < w:  # each new edge u-w once (excludes u itself)
+                    for x in adj[u] & adj[w]:
+                        filled[x] = filled.get(x, 0) + 1
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u].discard(u)
+        for x, n in filled.items():
+            if x in keys and x not in nbrs:
+                fill, deg, _ = keys[x]
+                keys[x] = (fill - n, deg, x)
+                heapq.heappush(heap, keys[x])
+        for u in nbrs:
+            if u in keys:
+                keys[u] = key(u)
+                heapq.heappush(heap, keys[u])
+    return seq, width
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +206,26 @@ def _two_core(n: int, edges) -> set[int]:
 def find_w_cutset(
     bn: BayesianNetwork, w: int, exclude: frozenset[int] | set[int] = frozenset()
 ) -> Cutset:
-    """Greedy w-cutset: remove the max-degree moral-graph vertex until the
-    min-fill order of the remainder has induced width <= w."""
+    """Greedy w-cutset: remove the allowed variable with the most moral-graph
+    neighbours left (ties to the lowest id) until ``min_fill_order`` of the
+    rest has width <= w. The rest is the CPT scopes less the removed
+    variables, which is what a plan sees once the cutset is assigned."""
     if w < 1:
         raise ValueError("w must be >= 1")
-    g = moral_graph(bn)
+    scopes = [cpt.parents + (cpt.child,) for cpt in bn.cpts]
+    nbrs: list[set[int]] = [set() for _ in range(bn.n)]
+    for scope in scopes:
+        for v in scope:
+            nbrs[v].update(u for u in scope if u != v)
     removed: list[int] = []
     while True:
-        sub, mapping = _remove_vertices(g, removed)
-        if sub.n == 0 or induced_width(sub, min_fill_ordering(sub)) <= w:
+        gone = set(removed)
+        rest = [v for v in range(bn.n) if v not in gone]
+        residual = [tuple(v for v in scope if v not in gone) for scope in scopes]
+        if min_fill_order(residual, rest)[1] <= w:
             break
-        degs = {}
-        inv = {new: old for old, new in mapping.items()}
-        for new_v in range(sub.n):
-            old = inv[new_v]
-            if old not in exclude:
-                degs[old] = len(sub.adj[new_v])
+        degs = {v: len(nbrs[v] - gone) for v in rest if v not in exclude}
         if not degs:
             break  # nothing else may be removed
-        pick = max(sorted(degs), key=lambda v: degs[v])
-        removed.append(pick)
+        removed.append(max(sorted(degs), key=lambda v: degs[v]))
     return Cutset(vars=tuple(removed), kind="w", w=w).with_cards(bn)
-
-
-def _remove_vertices(g: UndirectedGraph, removed: list[int]):
-    keep = [v for v in range(g.n) if v not in set(removed)]
-    mapping = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges()
-        if u in mapping and v in mapping
-    ]
-    return graph_from_edges(len(keep), edges), mapping

@@ -85,8 +85,10 @@ def select_tuples_gibbs(
     batched elimination, revisits cost nothing, zero-probability tuples are
     admitted only when fewer than h positive-mass tuples were seen, and the
     set is padded deterministically (one tuple per elimination) if the chain
-    found fewer than h distinct tuples.
+    found fewer than h distinct tuples. ``sweeps < 0`` raises ``ValueError``.
     """
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be at least 0, got {sweeps}")
     c = c if c.cards else c.with_cards(bn)
     m = c.n_tuples
     if h > m:
@@ -134,7 +136,7 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
 
     state = list(_forward_sample_cutset(bn, e, c, rng))
     mass(tuple(state), tuple(state))
-    for _ in range(max(0, sweeps)):
+    for _ in range(sweeps):
         for k in range(c.size):
             current = state[k]
             around = tuple(state)

@@ -415,13 +415,13 @@ def reference_greedy_lp(lp: BlanketLp, sense: str) -> float:
 # references: the one-at-a-time forms that the batched, incremental and
 # hoisted code must reproduce bit for bit
 
-def reference_min_fill_sequence(live, elim, keep, cards) -> list[int]:
+def reference_min_fill_sequence(scopes, elim, keep) -> list[int]:
     """Min-fill that rescans every remaining variable at every step: the
-    order ``exact._min_fill_sequence`` must return."""
+    order ``graphs.min_fill_order`` must return."""
     adj: dict[int, set[int]] = {v: set() for v in elim}
     for v in keep:
         adj.setdefault(v, set())
-    for fv, _ in live:
+    for fv in scopes:
         for a in fv:
             for b in fv:
                 if a != b:
@@ -450,6 +450,29 @@ def reference_min_fill_sequence(live, elim, keep, cards) -> list[int]:
         remaining.discard(best)
         seq.append(best)
     return seq
+
+
+def reference_induced_width(scopes, order) -> int:
+    """Width of eliminating ``order`` first to last on the interaction graph
+    of the scopes; variables not in ``order`` stay. Each eliminated variable
+    counts its neighbours not yet eliminated and connects them pairwise
+    (triangulation on a working copy): the width ``graphs.min_fill_order``
+    must report for its own order."""
+    adj: dict[int, set[int]] = {}
+    for fv in scopes:
+        for a in fv:
+            adj.setdefault(a, set()).update(b for b in fv if b != a)
+    width = 0
+    for v in order:
+        nbrs = sorted(adj.pop(v, set()))
+        width = max(width, len(nbrs))
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                adj[nbrs[i]].add(nbrs[j])
+                adj[nbrs[j]].add(nbrs[i])
+        for u in nbrs:
+            adj[u].discard(v)
+    return width
 
 
 def merge_assignment(e, a, extra=None):

@@ -483,3 +483,20 @@ class TestBounderPlugins:
         assert (ab.k, ab.iters) == (8, 3)
         with pytest.raises(ValueError, match="unknown bounder"):
             make_bounder("best-first", bn, e, cvars)
+
+    def test_knobs_below_their_least_raise(self, rng):
+        # each building block rejects a knob below its least value itself
+        bn, e, cvars = self._setting(rng)
+        for kind in ("bf", "abdp"):
+            with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+                make_bounder(kind, bn, e, cvars, k=-1, iters=0)
+            with pytest.raises(ValueError, match="iters must be at least 1, got 0"):
+                make_bounder(kind, bn, e, cvars, iters=0)
+        with pytest.raises(ValueError, match="max_iters must be at least 1, got 0"):
+            propagate_marginal_bounds(bn, e, max_iters=0)
+        with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+            propagate_marginal_bounds(bn, e, k=-1)
+        cut = find_loop_cutset(bn, exclude=frozenset(e))
+        for cap in (0, cut.n_tuples):  # the Gibbs path and the exhaustive one
+            with pytest.raises(ValueError, match="sweeps must be at least 0, got -5"):
+                select_tuples_gibbs(bn, e, cut, 1, sweeps=-5, cap=cap)

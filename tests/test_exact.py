@@ -19,7 +19,6 @@ from beliefbounds.exact import (
     eliminate,
     eliminate_marginals,
     enumerate_oracle,
-    _min_fill_sequence,
     _plan_for,
     _run,
 )
@@ -33,7 +32,6 @@ from conftest import (
     fraction_event_mass,
     random_evidence,
     random_network,
-    reference_min_fill_sequence,
 )
 
 
@@ -308,28 +306,6 @@ class TestBucketTree:
         bn = random_network(rng, n=4)
         with pytest.raises(ValueError, match="must not be assigned"):
             eliminate_marginals(bn, {0: 1}, (0, 1))
-
-
-class TestMinFill:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 14),
-        n_keep=st.integers(0, 3),
-        density=st.sampled_from([0.15, 0.35, 0.7]),
-    )
-    def test_same_order_as_the_rescanning_reference(self, seed, n, n_keep, density):
-        rng = np.random.default_rng(seed)
-        variables = [int(v) for v in rng.permutation(n)]
-        live = []
-        for slot in range(int(rng.integers(0, 2 * n + 1))):
-            scope = [v for v in variables if rng.random() < density]
-            live.append((tuple(scope), slot))
-        keep = tuple(variables[:min(n_keep, n)])
-        elim = sorted(variables[len(keep):])
-        cards = (2,) * n
-        want = reference_min_fill_sequence(live, elim, keep, cards)
-        assert _min_fill_sequence(live, elim, keep, cards) == want
 
 
 class TestMarginals:

@@ -1,21 +1,27 @@
-"""Moralization, orderings, induced width, and cutset selection."""
+"""Min-fill orders, induced width, and cutset selection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beliefbounds.exact import DEFAULT_TABLE_CAP, _plan_for
 from beliefbounds.graphs import (
     Cutset,
     find_loop_cutset,
     find_w_cutset,
-    graph_from_edges,
-    induced_width,
     is_loop_cutset,
-    min_fill_ordering,
-    moral_graph,
+    min_fill_order,
 )
 from beliefbounds.model import BayesianNetwork, Cpt, Variable
 
-from conftest import random_network, random_tree_network
+from conftest import (
+    grid_network,
+    random_network,
+    random_tree_network,
+    reference_induced_width,
+    reference_min_fill_sequence,
+)
 
 
 def _net(n, edges):
@@ -32,60 +38,57 @@ def _net(n, edges):
 DIAMOND = _net(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-class TestMoralGraph:
-    def test_collider_parents_married(self):
-        bn = _net(3, [(0, 2), (1, 2)])
-        g = moral_graph(bn)
-        assert 1 in g.neighbors(0)
-        assert 2 in g.neighbors(0) and 2 in g.neighbors(1)
+def _scopes(bn, removed=()):
+    """CPT scopes less the removed variables: what a plan sees once they are
+    assigned."""
+    gone = set(removed)
+    return [tuple(v for v in cpt.parents + (cpt.child,) if v not in gone) for cpt in bn.cpts]
 
-    def test_chain_gets_no_extra_edges(self):
-        bn = _net(3, [(0, 1), (1, 2)])
-        g = moral_graph(bn)
-        assert sorted(g.edges()) == [(0, 1), (1, 2)]
 
-    def test_self_loops_dropped_and_adjacency_symmetric(self):
-        g = graph_from_edges(3, [(0, 0), (0, 1), (1, 0), (2, 1)])
-        assert sorted(g.edges()) == [(0, 1), (1, 2)]
-        for u in range(3):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+class TestMinFill:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 14),
+        n_keep=st.integers(0, 3),
+        density=st.sampled_from([0.15, 0.35, 0.7]),
+    )
+    def test_same_order_as_the_rescanning_reference(self, seed, n, n_keep, density):
+        rng = np.random.default_rng(seed)
+        variables = [int(v) for v in rng.permutation(n)]
+        scopes = []
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            scopes.append(tuple(v for v in variables if rng.random() < density))
+        keep = tuple(variables[:min(n_keep, n)])
+        elim = sorted(variables[len(keep):])
+        want = reference_min_fill_sequence(scopes, elim, keep)
+        assert min_fill_order(scopes, elim, keep) == (want, reference_induced_width(scopes, want))
 
 
 class TestInducedWidth:
     def test_chain_natural_order(self):
-        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert induced_width(g, (0, 1, 2, 3)) == 1
+        assert reference_induced_width([(0, 1), (1, 2), (2, 3)], (0, 1, 2, 3)) == 1
 
     def test_complete_graph_any_order(self):
         n = 5
-        g = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i)])
-        assert induced_width(g, tuple(range(n))) == n - 1
-        assert induced_width(g, tuple(reversed(range(n)))) == n - 1
-
-    def test_rejects_non_permutation(self):
-        g = graph_from_edges(3, [(0, 1)])
-        with pytest.raises(ValueError, match="permutation"):
-            induced_width(g, (0, 1, 1))
+        scopes = [(i, j) for i in range(n) for j in range(i)]
+        assert reference_induced_width(scopes, tuple(range(n))) == n - 1
+        assert reference_induced_width(scopes, tuple(reversed(range(n)))) == n - 1
 
     def test_cycle_needs_width_two(self):
-        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        o = min_fill_ordering(g)
-        assert induced_width(g, o) == 2
+        assert min_fill_order([(0, 1), (1, 2), (2, 3), (3, 0)], range(4))[1] == 2
 
     def test_min_fill_is_permutation_and_deterministic(self, rng):
         for _ in range(20):
             bn = random_network(rng)
-            g = moral_graph(bn)
-            o = min_fill_ordering(g)
-            assert sorted(o) == list(range(g.n))
-            assert o == min_fill_ordering(g)
+            order, width = min_fill_order(_scopes(bn), range(bn.n))
+            assert sorted(order) == list(range(bn.n))
+            assert (order, width) == min_fill_order(_scopes(bn), range(bn.n))
 
     def test_trees_have_width_one(self, rng):
         for _ in range(10):
             bn = random_tree_network(rng, n=int(rng.integers(3, 10)))
-            g = moral_graph(bn)
-            assert induced_width(g, min_fill_ordering(g)) <= 1
+            assert min_fill_order(_scopes(bn), range(bn.n))[1] <= 1
 
 
 class TestLoopCutset:
@@ -134,27 +137,25 @@ class TestLoopCutset:
 
 
 class TestWCutset:
-    def _residual_width(self, bn, cut):
-        g = moral_graph(bn)
-        keep = [v for v in range(g.n) if v not in set(cut.vars)]
-        mapping = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (mapping[u], mapping[v])
-            for u, v in g.edges()
-            if u in mapping and v in mapping
-        ]
-        sub = graph_from_edges(len(keep), edges)
-        if sub.n == 0:
-            return 0
-        return induced_width(sub, min_fill_ordering(sub))
-
     def test_width_cap_holds(self, rng):
-        for _ in range(20):
-            bn = random_network(rng)
-            for w in (1, 2):
+        cases = [(random_network(rng), (1, 2)) for _ in range(20)]
+        cases += [(grid_network(rows, 9, 0), (2, 4, 8)) for rows in range(6, 10)]
+        for bn, ws in cases:
+            for w in ws:
                 cut = find_w_cutset(bn, w)
-                assert self._residual_width(bn, cut) <= w
+                scopes = _scopes(bn, cut.vars)
+                order, width = min_fill_order(scopes, [v for v in range(bn.n) if v not in cut.vars])
+                assert width == reference_induced_width(scopes, order) <= w
                 assert cut.kind == "w" and cut.w == w
+
+    def test_plans_meet_the_width(self):
+        # the width is a promise about the plans that sum the cutset's tuples:
+        # with the cutset and x71 assigned, no bucket of P(x71)'s plan may hold
+        # more than w + 1 = 9 binary variables
+        bn = grid_network(6, 12, 0)
+        cut = find_w_cutset(bn, 8, exclude={71})
+        assert cut.vars
+        assert _plan_for(bn, tuple(sorted(cut.vars + (71,))), (), DEFAULT_TABLE_CAP).peak <= 2**9
 
     def test_larger_w_never_needs_more_vertices(self, rng):
         for _ in range(10):
