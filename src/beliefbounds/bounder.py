@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # eliminate stays a module attribute: pipebench/tracing.py wraps bounder.eliminate
-from .exact import eliminate, eliminate_marginals  # noqa: F401
+from .exact import ScopeCapError, eliminate, eliminate_marginals  # noqa: F401
 from .model import BayesianNetwork, Evidence, PartialAssignment, ancestors_of, held_bytes
 
 DEFAULT_K = 2**10
@@ -441,47 +441,72 @@ class JointBounder:
         key = tuple(partial)
         hit = self._memo.get(key)
         if hit is None:
+            if key not in self._priors:  # asked for alone: load its priors
+                return self.tables_for([key])[0][0]
             hit = self._tables(dict(partial))
             self._memo[key] = hit
             self.invocations += hit.cost
         return hit
 
-    def tables_for(self, partials) -> tuple[PartialTupleBounds, ...]:
-        """``tuple_tables`` of every partial. The priors of those not yet
-        tabled are eliminated first, batched over partials that assign the
-        same variables."""
+    def tables_for(self, partials, tuples=()) -> tuple[tuple[PartialTupleBounds, ...], list[float]]:
+        """(``tuple_tables`` of every partial, the prior of every full cutset
+        tuple in ``tuples``). The priors of the full tuples and of the
+        partials not yet tabled come from one batched pass (split by depth
+        on large networks, see ``_priors_of``)."""
         keys = [tuple(p) for p in partials]
-        self._load_priors([k for k in keys if k not in self._memo])
+        fresh = list(dict.fromkeys(k for k in keys if k not in self._memo))
+        rows = fresh + [tuple(zip(self.cutset_vars, t)) for t in tuples]
+        loaded = self._load_priors(rows)
+        self._priors.update(zip(fresh, loaded))
         try:
-            return tuple(self.tuple_tables(k) for k in keys)
+            tables = tuple(self.tuple_tables(k) for k in keys)
         finally:
             self._priors.clear()
+        return tables, [prior for prior, _ in loaded[len(fresh):]]
 
-    def _load_priors(self, partials) -> None:
-        """Exact prior of each partial and of its one-variable cutset
-        extensions: one bucket-tree pass per set of assigned variables."""
-        groups: dict[tuple[int, ...], dict] = {}
-        for pairs in partials:
-            assigned = dict(pairs)
-            groups.setdefault(tuple(assigned), {})[tuple(assigned.items())] = assigned
-        cset = set(self.cutset_vars)
-        for avars, members in groups.items():
-            n = len(members)
-            rows = list(members.values())
-            batch = {v: np.array([a[v] for a in rows], dtype=np.int64) for v in avars}
-            wanted = [v for v in self._free_vars(rows[0]) if v in cset]
-            total, beliefs = eliminate_marginals(self.bn, batch, wanted)
-            priors = total.reshape(n).tolist()
-            ext = {v: beliefs[v].reshape(n, self.bn.cards[v]) for v in wanted}
-            for i, key in enumerate(members):
-                self._priors[key] = (priors[i], {v: t[i] for v, t in ext.items()})
+    def _load_priors(self, rows) -> list[tuple[float, dict[int, np.ndarray]]]:
+        """(P(row), {free cutset var v: P(row, v=x) per x}) of every row, a
+        partial or full cutset tuple as (variable, value) pairs."""
+        if not rows:
+            return []
+        pos = {v: k for k, v in enumerate(self.cutset_vars)}
+        pins = np.full((len(rows), len(pos)), -1, dtype=np.int64)
+        for i, pairs in enumerate(rows):
+            for v, x in pairs:
+                pins[i, pos[v]] = x
+        return self._priors_of(pins)
 
-    def _prior_tables(self, partial: dict) -> tuple[float, dict[int, np.ndarray]]:
-        """(P(partial), {free cutset var: P(partial, var=value) per value})."""
-        key = tuple(partial.items())
-        if key not in self._priors:
-            self._load_priors([key])
-        return self._priors.pop(key)
+    def _priors_of(self, pins: np.ndarray) -> list[tuple[float, dict[int, np.ndarray]]]:
+        """``_load_priors`` of rows of cutset values, -1 where free, in one
+        bucket-tree pass: the variables every row pins are sliced, the
+        others that a row pins get indicator leaves. A pass that would
+        compute more than ``exact.INDICATED_WORK_CAP`` entries is split in
+        two halves of the rows' pinned sets (by depth, for prefixes), down
+        to rows that all pin the same variables."""
+        pinned = pins >= 0
+        every, some = pinned.all(axis=0), pinned.any(axis=0)
+        cut = self.cutset_vars
+        indicated = [v for k, v in enumerate(cut) if some[k] and not every[k]]
+        wanted = [(k, v) for k, v in enumerate(cut) if not every[k] and v not in self.e]
+        try:
+            assign = {v: pins[:, k] for k, v in enumerate(cut) if some[k]}
+            total, beliefs = eliminate_marginals(self.bn, assign, [v for _, v in wanted], indicated)
+        except ScopeCapError:
+            if not indicated:
+                raise
+            sets, which = np.unique(pinned, axis=0, return_inverse=True)
+            low = which.reshape(-1) < len(sets) // 2
+            out: list = [None] * len(pins)
+            for part in (low, ~low):
+                for i, loaded in zip(np.flatnonzero(part), self._priors_of(pins[part])):
+                    out[i] = loaded
+            return out
+        n = len(pins)
+        ext = {v: np.broadcast_to(beliefs[v], (n, self.bn.cards[v])) for _, v in wanted}
+        return [
+            (prior, {v: ext[v][j] for k, v in wanted if not pinned[j, k]})
+            for j, prior in enumerate(np.broadcast_to(total, (n,)).tolist())
+        ]
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
         raise NotImplementedError
@@ -494,7 +519,7 @@ class PriorMassBounder(JointBounder):
     name = "bf"
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
-        prior, var_prior = self._prior_tables(partial)
+        prior, var_prior = self._priors[tuple(partial.items())]
         # the tuple's own prior mass caps every value; a free cutset variable
         # is capped by its extension priors, exact priors of (partial + {v=x})
         high = np.full(self.width, min(prior, 1.0))
@@ -527,7 +552,7 @@ class ChainPropagationBounder(JointBounder):
         self.iters = iters
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
-        prior, var_prior = self._prior_tables(partial)
+        prior, var_prior = self._priors[tuple(partial.items())]
         if prior == 0.0:
             return PartialTupleBounds(
                 prior=0.0,

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounder import JointBounder, PartialTupleBounds, make_bounder
-from .exact import eliminate, eliminate_marginals
+from .bounder import JointBounder, PartialTupleBounds, _at_least, make_bounder
+# eliminate stays a module attribute: pipebench/tracing.py wraps engine.eliminate
+from .exact import eliminate, eliminate_marginals  # noqa: F401
 from .graphs import Cutset, find_loop_cutset, find_w_cutset
 from .model import BayesianNetwork, Evidence, validate_evidence
 from .tuples import ActiveTupleSet, TruncatedTree, build_truncated_tree, select_tuples_gibbs
@@ -118,15 +119,13 @@ def prepare_inputs(
     t0 = time.perf_counter()
     pe_terms = tuple(float(p) for p in active.pe)
     s = math.fsum(pe_terms)
-    # every active tuple assigns the same variables: one batched prior
-    # elimination and one batched bucket-tree pass over the free variables
-    # serve them all (the cutset value wins over evidence). An empty cutset
-    # assigns no array, so its one tuple's results gain the axis by reshape.
+    # every active tuple assigns the same variables: one batched bucket-tree
+    # pass over the free variables serves them all (the cutset value wins
+    # over evidence). An empty cutset assigns no array, so its one tuple's
+    # results gain the axis by reshape.
     h = active.h
     columns = np.array(active.tuples, dtype=np.int64).reshape(h, len(c.vars)).T
     tuple_values = dict(zip(c.vars, columns))
-    priors = eliminate(bn, tuple_values, ()).reshape(h).tolist() if h else []
-    r = 0.0 if tree.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
 
     cutset_pos = {v: k for k, v in enumerate(c.vars)}
     free = [v for v in range(bn.n) if v not in e and v not in cutset_pos]
@@ -155,9 +154,11 @@ def prepare_inputs(
     timings["exact_sums"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tables = bounder.tables_for(
-        [tuple(zip(c.vars[: len(vals)], vals)) for vals in tree.partials]
+    # the bounder's one prior pass also gives the active tuples' priors
+    tables, priors = bounder.tables_for(
+        [tuple(zip(c.vars[: len(vals)], vals)) for vals in tree.partials], active.tuples
     )
+    r = 0.0 if tree.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
     timings["plugin"] = time.perf_counter() - t0
 
     for var, mass in active_mass.items():
@@ -400,9 +401,11 @@ def select_and_bound(
     """Pipeline setup: choose the cutset (unless given), select the h active
     tuples and build the plug-in bounder. Returns (active, bounder, seconds
     spent selecting tuples). Evidence that names a variable or value the
-    network lacks raises ``NetworkFormatError``; ``k < 0``, ``iters < 1`` or
-    ``sweeps < 0`` raises ``ValueError``."""
+    network lacks raises ``NetworkFormatError``; ``k < 0``, ``iters < 1``,
+    ``sweeps < 0`` or ``w < 1`` (whatever the cutset kind) raises
+    ``ValueError``."""
     validate_evidence(bn, e)
+    _at_least("w", w, 1)
     if cutset is None:
         if cutset_kind == "loop":
             cutset = find_loop_cutset(bn, exclude=frozenset(e))

@@ -24,8 +24,11 @@ first, children before parents: each such bucket sums to exactly one, so its
 message is never computed, and the forward steps multiply the CPTs of the
 assigned variables' ancestral set alone, as ``eliminate`` does.
 
-Evidence is absorbed by slicing CPTs before elimination — no zero-padded
-indicator factors, so buckets stay as small as possible.
+Evidence is absorbed by slicing CPTs before elimination, so buckets stay as
+small as possible. An *indicated* variable is not sliced but gets an
+indicator leaf, rows x card(v), one-hot at the row's value or all ones where
+the row leaves it free (-1); it stays in the plan, so rows that pin different
+variables (partial cutset tuples of every depth) share one pass.
 """
 
 from __future__ import annotations
@@ -43,6 +46,14 @@ from .model import BayesianNetwork, Evidence, ancestors_of, held_bytes
 #: Largest intermediate table (entries) a plan may create; exceeding it is an
 #: error, never a silent approximation.
 DEFAULT_TABLE_CAP = 2**22
+
+#: Most table entries a plan with indicated variables may compute over all
+#: its rows. Nothing it indicates is sliced, so its tree spans their whole
+#: ancestral set; past this, splitting the rows by the variables they pin
+#: costs less (see ``eliminate_marginals``). On binary grids 7x7 to 10x10
+#: (bf priors, h = 10, 2 vCPU x86_64), caps from 2^18 to 2^24 gave the
+#: least prepare time at 2^21 and 2^22.
+INDICATED_WORK_CAP = 2**22
 
 #: Largest joint state space the enumeration oracle accepts.
 ORACLE_STATE_CAP = 2**20
@@ -70,8 +81,9 @@ class _Step(NamedTuple):
 
 class _Plan(NamedTuple):
     leaves: tuple  # flat CPT per leaf slot with nothing assigned, None where sliced
-    # (slot, CPT view with its assigned axes first, assigned vars, number of
-    # free axes) per leaf that is sliced by the assigned values
+    # (slot, table with its assigned axes first, assigned vars, number of
+    # free axes) per leaf that is sliced by the assigned values: a CPT view,
+    # or an indicator's rows (one-hot per value, then a row of ones for -1)
     sliced: tuple
     scalar_leaves: tuple  # (CPT table, scope) of CPTs with every axis assigned
     steps: tuple[_Step, ...]  # forward steps, those of messages of ones left out
@@ -83,6 +95,7 @@ class _Plan(NamedTuple):
     beliefs: tuple[tuple[int, _Step], ...]
     n_slots: int
     peak: int  # largest entry count of one step
+    work: int  # entries all steps compute for one row
 
 
 def _cells(grid: tuple[int, ...]) -> np.ndarray:
@@ -127,7 +140,13 @@ def _build_plan(
     keep: tuple[int, ...],
     cap: int,
     wanted: tuple[int, ...] = (),
-) -> _Plan:
+    indicated: tuple[int, ...] = (),
+    work_cap: int | None = None,
+) -> _Plan | int:
+    """The plan, or where a row would compute more than ``work_cap`` table
+    entries, that entry count alone: the steps are laid out as (factor
+    slots, out vars, summed vars, out slot) and get their gather maps only
+    once the whole tree is within the cap."""
     assigned_set = set(assigned)
     keep_set = set(keep)
     if keep and wanted:
@@ -139,7 +158,7 @@ def _build_plan(
     cards = bn.cards
     # only the ancestral set matters: the buckets of every other (barren)
     # variable sum to one, so their CPTs are left out
-    relevant = assigned_set | keep_set
+    relevant = assigned_set | keep_set | set(indicated)
     relevant |= ancestors_of(bn, relevant)
     # wanted variables outside it, and their ancestors outside it, are barren
     # for the total: they are eliminated first, children before parents, so
@@ -169,6 +188,11 @@ def _build_plan(
             sliced.append((len(leaves), table.transpose(axes), fixed, len(free)))
             leaves.append(None)
         live.append((free, len(live)))
+    for v in indicated:
+        rows = np.vstack([np.eye(cards[v]), np.ones((1, cards[v]))])
+        sliced.append((len(leaves), rows, (v,), 1))
+        leaves.append(None)
+        live.append(((v,), len(live)))
     slot_count = len(live)
     scopes = {slot: fv for fv, slot in live}
 
@@ -177,16 +201,13 @@ def _build_plan(
         if v not in assigned_set and v not in keep_set and v not in barren
     ]
 
-    def step(factors, out_vars, summed, out_slot) -> _Step:
-        gathers, n_out, n_sum = _gather_maps([scopes[s] for s in factors], out_vars, summed, cards)
-        return _Step(tuple(factors), gathers, n_out, n_sum, out_slot)
-
     # The bucket of a variable barren for the total holds its own CPT and
     # messages of ones only, so it sums to exactly one. Its message keeps its
     # place in the tree but is never computed, and every step leaves it out:
     # multiplying by sums that are one up to rounding would only add rounding.
     ones: set[int] = set()
-    steps: list[_Step] = []
+    # (factor slots, out vars, summed vars, out slot) per forward step
+    steps: list[tuple] = []
     # (variable, separator, factor slots, out slot) per bucket, ones included
     buckets: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
     bucket_of: dict[int, int] = {}
@@ -206,7 +227,7 @@ def _build_plan(
         if v in barren:
             ones.add(slot_count)
         else:
-            steps.append(step([s for _, s in bucket if s not in ones], out_vars, (v,), slot_count))
+            steps.append((tuple(s for _, s in bucket if s not in ones), out_vars, (v,), slot_count))
         bucket_of[v] = len(buckets)
         buckets.append((v, out_vars, tuple(slot for _, slot in bucket), slot_count))
         live.append((out_vars, slot_count))
@@ -229,7 +250,7 @@ def _build_plan(
         peak = max(peak, size)
     final_factors = [slot for _, slot in live if slot not in ones]
     if final_factors:
-        final = step(final_factors, keep, (), -1)
+        final = (tuple(final_factors), keep, (), -1)
 
     # the bucket tree: each step's output feeds the step that takes it next,
     # or the final product; a downward message to a bucket is its parent's
@@ -246,7 +267,7 @@ def _build_plan(
         while i is not None and i not in needed:
             needed.add(i)
             i = parent.get(buckets[i][3])  # None: it feeds the final product
-    down: list[_Step] = []
+    down: list[tuple] = []
     down_slot: dict[int, int | None] = {}
     for i in sorted(needed, reverse=True):
         _, sep, _, own = buckets[i]
@@ -266,7 +287,7 @@ def _build_plan(
                 raise AssertionError("a message of ones would sum out a variable")
             down_slot[i] = None
             continue
-        down.append(step(factors, sep, summed, slot_count))
+        down.append((tuple(factors), sep, summed, slot_count))
         down_slot[i] = slot_count
         scopes[slot_count] = sep
         slot_count += 1
@@ -276,48 +297,75 @@ def _build_plan(
         factors = [s for s in buckets[i][2] if s not in ones]
         if down_slot[i] is not None:
             factors.append(down_slot[i])
-        beliefs.append((w, step(factors, (w,), buckets[i][1], -1)))
+        beliefs.append((w, (tuple(factors), (w,), buckets[i][1], -1)))
+    layouts = steps + down + [s for _, s in beliefs] + ([final] if final else [])
+    work = sum(math.prod([cards[u] for u in s[1] + s[2]]) for s in layouts)
+    if work_cap is not None and work > work_cap:
+        return work
+
+    def gathered(layout) -> _Step:
+        factors, out_vars, summed, out_slot = layout
+        gathers, n_out, n_sum = _gather_maps([scopes[f] for f in factors], out_vars, summed, cards)
+        return _Step(factors, gathers, n_out, n_sum, out_slot)
+
     return _Plan(
         leaves=tuple(leaves),
         sliced=tuple(sliced),
         scalar_leaves=tuple(scalar_leaves),
-        steps=tuple(steps),
-        final=final,
+        steps=tuple(map(gathered, steps)),
+        final=gathered(final) if final else None,
         keep=keep,
-        down=tuple(down),
-        beliefs=tuple(beliefs),
+        down=tuple(map(gathered, down)),
+        beliefs=tuple((w, gathered(s)) for w, s in beliefs),
         n_slots=slot_count,
         peak=peak,
+        work=work,
     )
 
 
 def _plan_for(
     bn, assigned_vars: tuple[int, ...], keep: tuple[int, ...], cap: int,
-    wanted: tuple[int, ...] = (),
+    wanted: tuple[int, ...] = (), indicated: tuple[int, ...] = (), work_cap: int | None = None,
 ):
-    key = ("plan", assigned_vars, keep, wanted, cap)
+    """The cached plan; ``ScopeCapError`` where a row would compute more than
+    ``work_cap`` entries. A rejected layout's entry count is cached in the
+    plan's place, so a repeat is rejected without laying it out again."""
+    key = ("plan", assigned_vars, keep, wanted, cap, indicated)
     plan = bn._cache.get(key)
-    if plan is None:
-        plan = _build_plan(bn, assigned_vars, keep, cap, wanted)
-        steps = plan.steps + ((plan.final,) if plan.final else ()) + plan.down
-        steps += tuple(step for _, step in plan.beliefs)
-        arrays = [g for step in steps for g in step.gathers]
-        arrays += [t for t in plan.leaves if t is not None]
-        arrays += [t for _, t, _, _ in plan.sliced] + [t for t, _ in plan.scalar_leaves]
+    if plan is None or isinstance(plan, int) and plan <= work_cap:
+        plan = _build_plan(bn, assigned_vars, keep, cap, wanted, indicated, work_cap)
+        arrays = []
+        if not isinstance(plan, int):
+            steps = plan.steps + ((plan.final,) if plan.final else ()) + plan.down
+            steps += tuple(step for _, step in plan.beliefs)
+            arrays = [g for step in steps for g in step.gathers]
+            arrays += [t for t in plan.leaves if t is not None]
+            arrays += [t for _, t, _, _ in plan.sliced] + [t for t, _ in plan.scalar_leaves]
         bn._cache.put(key, plan, held_bytes(arrays))
+    work = plan if isinstance(plan, int) else plan.work
+    if work_cap is not None and work > work_cap:
+        raise ScopeCapError(f"plan computes {work} entries a row (cap {work_cap})")
     return plan
 
 
-def _run(bn: BayesianNetwork, assignments, keep, wanted, cap):
+def _run(bn: BayesianNetwork, assignments, keep, wanted, cap, indicated=()):
     """(table, beliefs) of one plan over the assignments, in chunks whose
-    every step stays within the table cap."""
+    every step stays within the table cap; with indicated variables, the
+    plan's work over all rows stays within ``INDICATED_WORK_CAP``."""
     assign = dict(assignments)
-    plan = _plan_for(bn, tuple(sorted(assign)), keep, cap, wanted)
+    indicated = tuple(sorted(set(indicated)))
+    for v in indicated:
+        values = np.asarray(assign.get(v, bn.cards[v]))
+        if np.any((values < -1) | (values >= bn.cards[v])):
+            raise ValueError(f"indicated variable {v} needs values, -1 where it is free")
     batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
     lengths = {assign[v].shape for v in batched}
     if len(lengths) > 1 or any(len(shape) > 1 for shape in lengths):
         raise ValueError(f"batched values must be 1-D arrays of one length, got {lengths}")
     n = lengths.pop()[0] if lengths else 0
+    sliced = tuple(sorted(v for v in assign if v not in indicated))
+    row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
+    plan = _plan_for(bn, sliced, keep, cap, wanted, indicated, row_cap)
     chunk = max(1, cap // plan.peak)
     if n <= chunk:
         return _execute(bn, plan, assign)
@@ -349,15 +397,20 @@ def eliminate(
 
 
 def eliminate_marginals(
-    bn: BayesianNetwork, assignments, wanted
+    bn: BayesianNetwork, assignments, wanted, indicated=()
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """(P(assignments), {v: table of P(v=x, assignments) over x}) for every
-    unassigned ``v`` in ``wanted``, from one bucket-tree plan.
+    ``v`` in ``wanted`` that is unassigned or indicated, from one bucket-tree
+    plan.
 
     Assignments are taken as by ``eliminate``, batches included: with array
-    values the total and every table gain the leading batch axis.
+    values the total and every table gain the leading batch axis. Variables
+    in ``indicated`` get indicator leaves instead of slicing; the value -1
+    leaves one free in its row. Such a pass that would compute more than
+    ``INDICATED_WORK_CAP`` table entries over all rows raises
+    ``ScopeCapError`` before it builds anything: the caller splits the rows.
     """
-    return _run(bn, assignments, (), tuple(sorted(set(wanted))), DEFAULT_TABLE_CAP)
+    return _run(bn, assignments, (), tuple(sorted(set(wanted))), DEFAULT_TABLE_CAP, indicated)
 
 
 def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict):

@@ -211,7 +211,7 @@ def find_w_cutset(
     rest has width <= w. The rest is the CPT scopes less the removed
     variables, which is what a plan sees once the cutset is assigned."""
     if w < 1:
-        raise ValueError("w must be >= 1")
+        raise ValueError(f"w must be at least 1, got {w}")
     scopes = [cpt.parents + (cpt.child,) for cpt in bn.cpts]
     nbrs: list[set[int]] = [set() for _ in range(bn.n)]
     for scope in scopes:

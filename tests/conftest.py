@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -507,13 +508,15 @@ def free_cells(bounder, partial, tab=None) -> dict:
 
 
 def reference_exact_sums(bn: BayesianNetwork, e, active):
-    """(tuple priors, active mass of every unobserved non-cutset variable)
-    with one scalar ``eliminate`` per tuple for the prior and one scalar
-    ``eliminate_marginals`` per tuple for the masses: what
-    ``engine.prepare_inputs`` must give from its calls batched over tuples
-    (a cutset value overrides the evidence on a shared variable)."""
+    """(tuple priors, active mass of every unobserved non-cutset variable):
+    the priors as exact rationals from one enumeration (``Fraction`` per
+    tuple, what the bounder's prior pass gives to rounding), the masses with
+    one scalar ``eliminate_marginals`` per tuple, what
+    ``engine.prepare_inputs`` must give from its call batched over tuples (a
+    cutset value overrides the evidence on a shared variable)."""
     cvars = active.cutset.vars
-    priors = [float(eliminate(bn, dict(zip(cvars, t)), ())) for t in active.tuples]
+    table = fraction_event_mass(bn, {}, cvars) if active.tuples else None
+    priors = [functools.reduce(lambda t, x: t[x], vals, table) for vals in active.tuples]
     free = [v for v in range(bn.n) if v not in e and v not in cvars]
     rows = []
     for t in active.tuples:

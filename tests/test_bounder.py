@@ -1,23 +1,26 @@
 """Blanket LPs, iterative bound propagation, and the joint-bound plug-ins."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefbounds import bounder as bounder_mod
+from beliefbounds import exact as exact_mod
 from beliefbounds.bounder import (
     BlanketLp,
     ChainPropagationBounder,
     PriorMassBounder,
     _boundary_structure,
+    _chain_bounds,
     _greedy_bounds,
     make_bounder,
     propagate_marginal_bounds,
     solve_blanket_lp_greedy,
 )
-from beliefbounds.exact import eliminate_marginals
 from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable, ancestors_of
 from beliefbounds.tuples import build_truncated_tree, select_tuples_gibbs
@@ -27,6 +30,7 @@ from conftest import (
     brute_event_mass,
     brute_posteriors,
     chain_joint_bounds,
+    fraction_event_mass,
     free_cells,
     grid_network,
     lp_basis_enumeration,
@@ -446,34 +450,90 @@ class TestBounderPlugins:
         b.tuple_tables(((cvars[0], 1),))
         assert b.invocations == 2
 
-    def test_batched_priors_equal_one_partial_eliminations(self, rng):
-        # tables_for eliminates the priors of all partials of one depth at
-        # once; every float must be the one a lone bucket-tree pass gives
-        checked = 0
-        while checked < 5:
-            bn = random_network(rng, n=int(rng.integers(5, 9)), zero_rows=True)
+    def _partials(self, rng, h=2, size=2):
+        """A network with planted zeros, its evidence and loop cutset (size
+        or more variables), h active tuples and the truncated tree's
+        partials as pairs."""
+        while True:
+            bn = random_network(rng, n=int(rng.integers(5, 8)), zero_rows=True)
             e = random_evidence(rng, bn)
             cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
-            if cut.size < 2:
-                continue
+            if cut.size >= size:
+                break
+        active = select_tuples_gibbs(bn, e, cut, min(h, cut.n_tuples))
+        partials = [
+            tuple(zip(cut.vars[: len(vals)], vals))
+            for vals in build_truncated_tree(cut, active).partials
+        ]
+        return bn, e, cut, active, partials
+
+    def test_batched_priors_match_exact_rationals(self, rng):
+        # one indicator bucket-tree pass gives the prior of every partial of
+        # every depth and of its one-variable extensions: each is the exact
+        # rational sum to within 1e-13 relative, and a partial of no prior
+        # mass gets exactly 0.0, which abdp's zero-prior branch tests for
+        checked = zeros = 0
+        while checked < 5 or not zeros:
+            bn, e, cut, _, partials = self._partials(rng)
             checked += 1
-            active = select_tuples_gibbs(bn, e, cut, min(2, cut.n_tuples))
-            partials = [
-                tuple(zip(cut.vars[: len(vals)], vals))
-                for vals in build_truncated_tree(cut, active).partials
+            bounders = [
+                make_bounder(kind, bn, e, cut.vars, k=64, iters=2) for kind in ("bf", "abdp")
             ]
-            for kind in ("bf", "abdp"):
-                b = make_bounder(kind, bn, e, cut.vars, k=64, iters=2)
-                for partial, tab in zip(partials, b.tables_for(partials)):
-                    assigned = dict(partial)
-                    wanted = [v for v in cut.vars if v not in assigned and v not in e]
-                    total, beliefs = eliminate_marginals(bn, assigned, wanted)
-                    assert tab.prior == float(total)
+            tables = [b.tables_for(partials)[0] for b in bounders]
+            for j, partial in enumerate(partials):
+                assigned = dict(partial)
+                wanted = [v for v in cut.vars if v not in assigned and v not in e]
+                prior = fraction_event_mass(bn, assigned)
+                ext = {v: fraction_event_mass(bn, assigned, (v,)) for v in wanted}
+                zeros += prior == 0
+                for tab in (t[j] for t in tables):
+                    assert abs(Fraction(tab.prior) - prior) <= Fraction(1e-13) * prior
                     assert sorted(tab.var_prior) == wanted
                     for v, row in tab.var_prior.items():
-                        assert np.array_equal(row, beliefs[v])
-                    if kind == "abdp" and tab.prior > 0.0:
-                        assert tab.joint == chain_joint_bounds(bn, e, partial, k=64, iters=2)
+                        for got, want in zip(row.tolist(), ext[v]):
+                            assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+                tab = tables[1][j]
+                if tab.prior > 0.0:
+                    assert tab.joint == _chain_bounds(bn, e, assigned, tab.prior, 64, 2)
+                else:
+                    assert tab.joint == (0.0, 0.0) and tab.cost == 0
+
+    def test_a_pass_over_the_work_cap_splits_by_depth(self, rng, monkeypatch):
+        # with no work allowed every band splits down to rows that pin the
+        # same variables, one sliced pass per depth; the priors stay exact to
+        # rounding and the active tuples' priors come back in order. A repeat
+        # lays out no plan: the rejected layouts are cached as well
+        calls, built = [], []
+        real, build = bounder_mod.eliminate_marginals, exact_mod._build_plan
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        def building(*args):
+            built.append(args[1:])
+            return build(*args)
+
+        for _ in range(4):
+            bn, e, cut, active, partials = self._partials(rng, h=1, size=3)
+            one = make_bounder("bf", bn, e, cut.vars).tables_for(partials, active.tuples)
+            monkeypatch.setattr(exact_mod, "INDICATED_WORK_CAP", 0)
+            monkeypatch.setattr(bounder_mod, "eliminate_marginals", counted)
+            calls.clear()
+            split = make_bounder("bf", bn, e, cut.vars).tables_for(partials, active.tuples)
+            depths = {len(p) for p in partials} | {cut.size}
+            assert len(depths) >= 3  # so some half of the rows is split again
+            assert [c for c in calls if not c] == [[]] * len(depths)
+            monkeypatch.setattr(exact_mod, "_build_plan", building)
+            again = make_bounder("bf", bn, e, cut.vars).tables_for(partials, active.tuples)
+            monkeypatch.undo()
+            assert built == [] and again[1] == split[1]
+            for a, b in zip(one[0], split[0]):
+                assert b.prior == pytest.approx(a.prior, rel=1e-13, abs=0.0)
+                assert sorted(a.var_prior) == sorted(b.var_prior)
+                for v, row in a.var_prior.items():
+                    np.testing.assert_allclose(b.var_prior[v], row, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(split[1], one[1], rtol=1e-13, atol=0.0)
 
     def test_factory(self, rng):
         bn, e, cvars = self._setting(rng)

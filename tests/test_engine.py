@@ -1,7 +1,7 @@
 """Assembly of exact active sums and plug-in partial tables into intervals."""
 
 import dataclasses
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -358,8 +358,11 @@ class TestPrepareInputs:
     def _matches_per_tuple_reference(bn, e, active):
         inputs = prepare_inputs(bn, e, active, make_bounder("bf", bn, e, active.cutset.vars))
         priors, mass = reference_exact_sums(bn, e, active)
-        r = 0.0 if inputs.m_prime == 0 else max(0.0, 1.0 - math.fsum(priors))
-        assert inputs.r == r
+        # r = 1 - Σ tuple priors, against the exact rationals: within 1e-13
+        # of the unit mass it is carved from, which each prior's relative
+        # 1e-13 gives (r itself may be small, where 1 - Σ cancels)
+        r = Fraction(0) if inputs.m_prime == 0 else max(Fraction(0), 1 - sum(priors))
+        assert abs(Fraction(inputs.r) - r) <= Fraction(1e-13)
         for var, want in mass.items():
             assert np.array_equal(inputs.active_mass[var], want)
         return inputs
@@ -393,9 +396,9 @@ class TestPrepareInputs:
         assert inputs.active_mass[1].sum() == pytest.approx(inputs.s, abs=1e-15)
 
     def test_one_elimination_per_kept_variable(self, rng, monkeypatch):
-        # the engine batches over active tuples, the bounder over partials
-        # that assign the same cutset prefix; a bucket-tree pass serves every
-        # kept variable of one assigned set
+        # the engine batches over active tuples; the bounder makes one
+        # indicator bucket-tree pass over every partial of every depth, which
+        # also gives the active tuples' priors
         calls = {"engine": 0, "bounder": 0}
 
         def counted(mod, name):
@@ -418,14 +421,14 @@ class TestPrepareInputs:
         active = select_tuples_gibbs(bn, e, cut, 2)
         inputs = prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
         free = [v for v in range(bn.n) if v not in e and v not in cut.vars]
-        assert calls["engine"] == 1 + bool(free)
-        assert calls["bounder"] == len({len(p) for p in inputs.tree.partials})
+        assert inputs.tree.m_prime > 0
+        assert calls["engine"] == int(bool(free))
+        assert calls["bounder"] == 1
 
     def test_one_plan_per_assigned_set(self, rng, monkeypatch):
-        # a cold prepare_inputs builds one bucket-tree plan per group of
-        # partials that assign the same cutset prefix, plus the engine's two:
-        # the tuple priors (which the full-length partials share) and the
-        # active masses of the free variables
+        # a cold prepare_inputs builds two plans: the indicator tree, which
+        # gives the priors of every partial and active tuple, and the active
+        # masses of the free variables
         while True:
             bn = random_network(rng, n=10)
             e = random_evidence(rng, bn)
@@ -443,9 +446,8 @@ class TestPrepareInputs:
 
         monkeypatch.setattr(exact_mod, "_build_plan", counting)
         cold = BayesianNetwork(bn.variables, bn.cpts)  # selection filled bn's cache
-        inputs = prepare_inputs(cold, e, active, make_bounder("bf", cold, e, cut.vars))
-        depths = {len(p) for p in inputs.tree.partials} | {cut.size}
-        assert len(built) == len(depths) + 1
+        prepare_inputs(cold, e, active, make_bounder("bf", cold, e, cut.vars))
+        assert len(built) == 2
 
     def test_new_evidence_values_add_no_cache_entry(self, rng):
         while True:

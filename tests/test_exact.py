@@ -204,10 +204,12 @@ class TestAncestralPruning:
 
 class TestBucketTree:
     @staticmethod
-    def _case(seed, batch, barren, zero_rows):
+    def _case(seed, batch, barren, zero_rows, indicate=False):
         """Random network (cards 2-3; with barren leaves, or with hard zeros),
         scalar evidence, array values on up to two more variables, and a
-        random subset of the remaining variables wanted."""
+        random subset of the remaining variables wanted. With ``indicate``
+        the array variables are indicated, free (-1) in some rows, and may
+        be wanted too."""
         rng = np.random.default_rng(seed)
         if barren:
             bn = barren_network(rng, int(rng.integers(2, 5)), n_leaves=int(rng.integers(1, 4)))
@@ -220,7 +222,12 @@ class TestBucketTree:
         n_arr = min(int(rng.integers(1, 3)), len(rest)) if batch else 0
         arrays = {v: rng.integers(bn.cards[v], size=batch) for v in rest[:n_arr]}
         wanted = [v for v in rest[n_arr:] if rng.random() < 0.7]
-        return bn, e, arrays, wanted
+        indicated = list(arrays) if indicate else []
+        for v in indicated:
+            arrays[v][rng.random(batch) < 0.4] = -1
+            if rng.random() < 0.7:
+                wanted.append(v)
+        return bn, e, arrays, wanted, indicated
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -229,31 +236,40 @@ class TestBucketTree:
         barren=st.booleans(),
         zero_rows=st.booleans(),
         chunked=st.booleans(),
+        indicate=st.booleans(),
     )
     def test_every_marginal_is_within_1e13_of_exact_rationals(
-        self, seed, batch, barren, zero_rows, chunked
+        self, seed, batch, barren, zero_rows, chunked, indicate
     ):
-        bn, e, arrays, wanted = self._case(seed, batch, barren, zero_rows)
+        bn, e, arrays, wanted, indicated = self._case(seed, batch, barren, zero_rows, indicate)
         assigned = {**e, **arrays}
         if chunked:  # a cap of one step's peak makes every row its own chunk
             key = tuple(sorted(wanted))
-            cap = _plan_for(bn, tuple(sorted(assigned)), (), DEFAULT_TABLE_CAP, key).peak
-            total, tables = _run(bn, assigned, (), key, cap)
+            sliced = tuple(sorted(v for v in assigned if v not in indicated))
+            ind = tuple(sorted(indicated))
+            cap = _plan_for(bn, sliced, (), DEFAULT_TABLE_CAP, key, ind).peak
+            total, tables = _run(bn, assigned, (), key, cap, ind)
         else:
-            total, tables = eliminate_marginals(bn, assigned, wanted)
+            total, tables = eliminate_marginals(bn, assigned, wanted, indicated)
         assert sorted(tables) == sorted(wanted)
         lead = (batch,) if batch else ()
         assert total.shape == lead
-        rows = [{v: int(a[i]) for v, a in arrays.items()} for i in range(batch)] or [{}]
+        rows = [
+            {v: int(a[i]) for v, a in arrays.items() if a[i] >= 0} for i in range(batch)
+        ] or [{}]
         if not batch:
             total = total[None]
             tables = {v: t[None] for v, t in tables.items()}
         tolerance = Fraction(1, 10**13)
         for i, row in enumerate(rows):
-            cases = [(float(total[i]), fraction_event_mass(bn, {**e, **row}))]
+            mass = fraction_event_mass(bn, {**e, **row})
+            cases = [(float(total[i]), mass)]
             for v in wanted:
                 assert tables[v].shape == (len(rows), bn.cards[v])
-                want = fraction_event_mass(bn, {**e, **row}, (v,))
+                if v in row:  # an indicated variable the row pins
+                    want = [mass if x == row[v] else 0 for x in range(bn.cards[v])]
+                else:
+                    want = fraction_event_mass(bn, {**e, **row}, (v,))
                 cases += [(float(got), exact) for got, exact in zip(tables[v][i], want)]
             for got, exact in cases:
                 # exact zeros must come out as 0.0
@@ -265,13 +281,16 @@ class TestBucketTree:
         batch=st.sampled_from([1, 2, 5]),
         barren=st.booleans(),
         zero_rows=st.booleans(),
+        indicate=st.booleans(),
     )
-    def test_rows_equal_one_assignment_calls(self, seed, batch, barren, zero_rows):
-        bn, e, arrays, wanted = self._case(seed, batch, barren, zero_rows)
-        total, tables = eliminate_marginals(bn, {**e, **arrays}, wanted)
+    def test_rows_equal_one_assignment_calls(self, seed, batch, barren, zero_rows, indicate):
+        # with indicators, rows that pin different variables (partials of
+        # mixed depth) share the pass and still equal one-row calls
+        bn, e, arrays, wanted, indicated = self._case(seed, batch, barren, zero_rows, indicate)
+        total, tables = eliminate_marginals(bn, {**e, **arrays}, wanted, indicated)
         for i in range(batch):
             one = {v: int(a[i]) for v, a in arrays.items()}
-            one_total, one_tables = eliminate_marginals(bn, {**e, **one}, wanted)
+            one_total, one_tables = eliminate_marginals(bn, {**e, **one}, wanted, indicated)
             assert total[i] == one_total
             for v in wanted:
                 assert np.array_equal(tables[v][i], one_tables[v])
@@ -306,6 +325,12 @@ class TestBucketTree:
         bn = random_network(rng, n=4)
         with pytest.raises(ValueError, match="must not be assigned"):
             eliminate_marginals(bn, {0: 1}, (0, 1))
+
+    def test_indicated_variable_needs_values_from_minus_one_to_its_last(self, rng):
+        bn = random_network(rng, n=4)
+        for assigned in ({}, {0: np.array([1, -2])}, {0: bn.cards[0]}):
+            with pytest.raises(ValueError, match="indicated variable 0 needs values"):
+                eliminate_marginals(bn, assigned, (1,), indicated=(0,))
 
 
 class TestMarginals:

@@ -307,7 +307,8 @@ class TestRunExperiment:
             run_experiment(
                 ExperimentConfig(network=diamond_file, h=1, oracle="always")
             )
-        for knob, value in (("k", -1), ("iters", 0), ("iters", -3), ("sweeps", -1)):
+        knobs = (("k", -1), ("iters", 0), ("iters", -3), ("sweeps", -1), ("w", 0))
+        for knob, value in knobs:
             with pytest.raises(ValueError, match=f"{knob} must be at least"):
                 run_experiment(ExperimentConfig(network=diamond_file, h=1, **{knob: value}))
         (run,) = run_experiment(ExperimentConfig(network=diamond_file, h=1, sweeps=0))["runs"]
@@ -411,6 +412,16 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == "error: evidence pair count -1 < 0\n"
+
+    def test_w_below_one_rejected_whatever_the_cutset_kind(self, diamond_file, capsys):
+        for kind in ("loop", "w"):
+            rc = cli_main(
+                ["pe", "--network", diamond_file, "--h", "1", "--cutset", kind, "--w", "0"]
+            )
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert captured.err == "error: w must be at least 1, got 0\n"
 
     def test_h_and_sweep_h_together_rejected(self, diamond_file, capsys):
         rc = cli_main(
