@@ -28,6 +28,7 @@ from .model import BayesianNetwork, Evidence, PartialAssignment, ancestors_of, h
 
 DEFAULT_K = 2**10
 DEFAULT_MAX_ITERS = 50
+#: Propagation stops after a sweep that moves no bound by more than this.
 DEFAULT_TOL = 1e-6
 
 
@@ -282,16 +283,17 @@ def propagate_marginal_bounds(
     e: Evidence,
     k: int = DEFAULT_K,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
 ) -> MarginalBounds:
     """Iterative marginal bounding by per-variable boundary LPs.
 
     Every unobserved variable starts at [0, 1]; sweeps in topological order
     re-solve each variable's LP against the current intervals of its Markov
     boundary (restricted to the variable's relevant subnetwork) and intersect,
-    so intervals never widen. Variables whose full boundary domain exceeds
-    ``k`` are skipped and keep [0, 1]. Observed variables are pinned to their
-    indicator. ``k < 0`` or ``max_iters < 1`` raises ``ValueError``.
+    so intervals never widen; sweeping stops after ``max_iters`` sweeps, or
+    after one that moves no bound by more than ``DEFAULT_TOL``. Variables
+    whose full boundary domain exceeds ``k`` are skipped and keep [0, 1].
+    Observed variables are pinned to their indicator. ``k < 0`` or
+    ``max_iters < 1`` raises ``ValueError``.
     """
     _at_least("k", k, 0)
     _at_least("max_iters", max_iters, 1)
@@ -334,7 +336,7 @@ def propagate_marginal_bounds(
                 lv[val] = new_lo
                 hv[val] = new_hi
             states.pop(v, None)
-        if delta <= tol:
+        if delta <= DEFAULT_TOL:
             break
     return MarginalBounds(lows=lows, highs=highs, iterations=iters, skipped=frozenset(skipped))
 

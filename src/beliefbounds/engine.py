@@ -112,7 +112,7 @@ def prepare_inputs(
     ``ValueError``: its tables would bound other joints."""
     if bounder.bn is not bn or bounder.e != e or bounder.cutset_vars != active.cutset.vars:
         raise ValueError("the bounder was built for another network, evidence or cutset")
-    c = active.cutset if active.cutset.cards else active.cutset.with_cards(bn)
+    c = active.cutset.with_cards(bn)
     tree = build_truncated_tree(c, active)
     timings: dict[str, float] = {}
 
@@ -413,7 +413,7 @@ def select_and_bound(
             cutset = find_w_cutset(bn, w, exclude=frozenset(e))
         else:
             raise ValueError(f"unknown cutset kind {cutset_kind!r}")
-    cutset = cutset if cutset.cards else cutset.with_cards(bn)
+    cutset = cutset.with_cards(bn)
     # built first, so that a bad bounder knob fails before any inference
     bounder = make_bounder(plugin, bn, e, cutset.vars, k=k, iters=iters)
     t0 = time.perf_counter()

@@ -1,24 +1,24 @@
 """Exact inference: bucket elimination and the enumeration oracle.
 
 Bucket elimination is compiled to a reusable *plan* per (network, assigned
-variables, kept or wanted variables): the plan fixes the elimination order,
+variables, wanted variables): the plan fixes the elimination order,
 every intermediate-table layout and the gather index maps for each
 contraction step. Executing a plan with concrete assigned values only slices
 the leaf CPTs and runs the contraction kernel per step, so repeated queries
 over the same structure (e.g. thousands of cutset tuples) avoid all symbolic
-work. A plan takes only the CPTs of the assigned, kept and wanted variables
-and of their ancestors: every other variable is barren (its bucket sums to
+work. A plan takes only the CPTs of the assigned and wanted variables and
+of their ancestors: every other variable is barren (its bucket sums to
 one), so the elimination covers the ancestral part of the network alone.
 Assigned values may also be equal-length integer arrays: one execution then
 evaluates the whole batch of assignments along a leading axis, with every
 entry equal to what the one-assignment call gives.
 
-``eliminate`` sums out everything but its kept variables. ``eliminate_marginals``
-gives P(assignments) and the table P(v, assignments) of every wanted variable
-from one plan, a bucket tree: the forward steps eliminate every variable, a
-downward message per bucket on the way to a wanted variable carries the rest
-of the network back, and one belief step per wanted variable combines its
-bucket with that message (Kask, Dechter, Larrosa & Dechter, AIJ 2005).
+``eliminate`` sums out every variable and gives P(assignments).
+``eliminate_marginals`` gives P(assignments) and the table P(v, assignments)
+of every wanted variable from one plan, a bucket tree: the forward steps
+eliminate every variable, a downward message per bucket on the way to a
+wanted variable carries the rest of the network back, and one belief step
+per wanted variable combines its bucket with that message (Kask, Dechter, Larrosa & Dechter, AIJ 2005).
 Wanted variables that no assigned variable descends from are eliminated
 first, children before parents: each such bucket sums to exactly one, so its
 message is never computed, and the forward steps multiply the CPTs of the
@@ -87,8 +87,7 @@ class _Plan(NamedTuple):
     sliced: tuple
     scalar_leaves: tuple  # (CPT table, scope) of CPTs with every axis assigned
     steps: tuple[_Step, ...]  # forward steps, those of messages of ones left out
-    final: _Step | None
-    keep: tuple[int, ...]
+    final: _Step | None  # the product of the root messages
     # downward messages, parents before children, then one belief step per
     # wanted variable: (variable, step)
     down: tuple[_Step, ...]
@@ -137,7 +136,6 @@ def _gather_maps(
 def _build_plan(
     bn: BayesianNetwork,
     assigned: tuple[int, ...],
-    keep: tuple[int, ...],
     cap: int,
     wanted: tuple[int, ...] = (),
     indicated: tuple[int, ...] = (),
@@ -148,17 +146,12 @@ def _build_plan(
     slots, out vars, summed vars, out slot) and get their gather maps only
     once the whole tree is within the cap."""
     assigned_set = set(assigned)
-    keep_set = set(keep)
-    if keep and wanted:
-        raise ValueError("a plan either keeps variables or gives beliefs, not both")
-    if assigned_set & keep_set:
-        raise ValueError("kept variables must not be assigned")
     if assigned_set & set(wanted):
         raise ValueError("wanted variables must not be assigned")
     cards = bn.cards
     # only the ancestral set matters: the buckets of every other (barren)
     # variable sum to one, so their CPTs are left out
-    relevant = assigned_set | keep_set | set(indicated)
+    relevant = assigned_set | set(indicated)
     relevant |= ancestors_of(bn, relevant)
     # wanted variables outside it, and their ancestors outside it, are barren
     # for the total: they are eliminated first, children before parents, so
@@ -196,10 +189,7 @@ def _build_plan(
     slot_count = len(live)
     scopes = {slot: fv for fv, slot in live}
 
-    elim = [
-        v for v in sorted(relevant)
-        if v not in assigned_set and v not in keep_set and v not in barren
-    ]
+    elim = [v for v in sorted(relevant) if v not in assigned_set and v not in barren]
 
     # The bucket of a variable barren for the total holds its own CPT and
     # messages of ones only, so it sums to exactly one. Its message keeps its
@@ -237,20 +227,12 @@ def _build_plan(
     for v in reversed(bn.topo_order):
         if v in barren:
             eliminate_var(v)
-    for v in min_fill_order([fv for fv, _ in live], elim, keep)[0]:
+    for v in min_fill_order([fv for fv, _ in live], elim)[0]:
         eliminate_var(v)
 
-    final = None
-    if live:
-        if any(u not in keep_set for fv, _ in live for u in fv):
-            raise AssertionError("factor escaped elimination")
-        size = math.prod([cards[u] for u in keep])
-        if size > cap:
-            raise ScopeCapError(f"output table needs {size} entries (cap {cap})")
-        peak = max(peak, size)
+    # every variable is eliminated: what is left are the scalar root messages
     final_factors = [slot for _, slot in live if slot not in ones]
-    if final_factors:
-        final = (tuple(final_factors), keep, (), -1)
+    final = (tuple(final_factors), (), (), -1) if final_factors else None
 
     # the bucket tree: each step's output feeds the step that takes it next,
     # or the final product; a downward message to a bucket is its parent's
@@ -314,7 +296,6 @@ def _build_plan(
         scalar_leaves=tuple(scalar_leaves),
         steps=tuple(map(gathered, steps)),
         final=gathered(final) if final else None,
-        keep=keep,
         down=tuple(map(gathered, down)),
         beliefs=tuple((w, gathered(s)) for w, s in beliefs),
         n_slots=slot_count,
@@ -324,16 +305,16 @@ def _build_plan(
 
 
 def _plan_for(
-    bn, assigned_vars: tuple[int, ...], keep: tuple[int, ...], cap: int,
+    bn, assigned_vars: tuple[int, ...], cap: int,
     wanted: tuple[int, ...] = (), indicated: tuple[int, ...] = (), work_cap: int | None = None,
 ):
     """The cached plan; ``ScopeCapError`` where a row would compute more than
     ``work_cap`` entries. A rejected layout's entry count is cached in the
     plan's place, so a repeat is rejected without laying it out again."""
-    key = ("plan", assigned_vars, keep, wanted, cap, indicated)
+    key = ("plan", assigned_vars, wanted, cap, indicated)
     plan = bn._cache.get(key)
     if plan is None or isinstance(plan, int) and plan <= work_cap:
-        plan = _build_plan(bn, assigned_vars, keep, cap, wanted, indicated, work_cap)
+        plan = _build_plan(bn, assigned_vars, cap, wanted, indicated, work_cap)
         arrays = []
         if not isinstance(plan, int):
             steps = plan.steps + ((plan.final,) if plan.final else ()) + plan.down
@@ -348,8 +329,8 @@ def _plan_for(
     return plan
 
 
-def _run(bn: BayesianNetwork, assignments, keep, wanted, cap, indicated=()):
-    """(table, beliefs) of one plan over the assignments, in chunks whose
+def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
+    """(total, beliefs) of one plan over the assignments, in chunks whose
     every step stays within the table cap; with indicated variables, the
     plan's work over all rows stays within ``INDICATED_WORK_CAP``."""
     assign = dict(assignments)
@@ -365,7 +346,7 @@ def _run(bn: BayesianNetwork, assignments, keep, wanted, cap, indicated=()):
     n = lengths.pop()[0] if lengths else 0
     sliced = tuple(sorted(v for v in assign if v not in indicated))
     row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
-    plan = _plan_for(bn, sliced, keep, cap, wanted, indicated, row_cap)
+    plan = _plan_for(bn, sliced, cap, wanted, indicated, row_cap)
     chunk = max(1, cap // plan.peak)
     if n <= chunk:
         return _execute(bn, plan, assign)
@@ -379,21 +360,14 @@ def _run(bn: BayesianNetwork, assignments, keep, wanted, cap, indicated=()):
     )
 
 
-def eliminate(
-    bn: BayesianNetwork,
-    assignments,
-    keep: tuple[int, ...] = (),
-    cap: int = DEFAULT_TABLE_CAP,
-) -> np.ndarray:
-    """Sum-product elimination of everything but ``keep``.
+def eliminate(bn: BayesianNetwork, assignments) -> np.ndarray:
+    """P(assignments) by sum-product elimination of every variable.
 
-    Returns the table of unnormalized values P(keep values, assignments) with
-    axes in ``keep`` order (0-d array when keep is empty). ``assignments`` is
-    a mapping var -> value absorbed by CPT slicing. Values may be ints or
-    equal-length 1-D integer arrays; with arrays the table gains a leading
-    batch axis whose row i is the table of the i-th assignment.
+    ``assignments`` is a mapping var -> value absorbed by CPT slicing. Values
+    may be ints or equal-length 1-D integer arrays; with arrays the result
+    has one row per assignment, row i the value of the i-th assignment.
     """
-    return _run(bn, assignments, tuple(keep), (), cap)[0]
+    return _run(bn, assignments, (), DEFAULT_TABLE_CAP)[0]
 
 
 def eliminate_marginals(
@@ -410,7 +384,7 @@ def eliminate_marginals(
     ``INDICATED_WORK_CAP`` table entries over all rows raises
     ``ScopeCapError`` before it builds anything: the caller splits the rows.
     """
-    return _run(bn, assignments, (), tuple(sorted(set(wanted))), DEFAULT_TABLE_CAP, indicated)
+    return _run(bn, assignments, tuple(sorted(set(wanted))), DEFAULT_TABLE_CAP, indicated)
 
 
 def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict):
@@ -432,15 +406,14 @@ def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict):
         tables = [slots[s] for s in step.factor_slots]
         slots[step.out_slot] = contract(tables, step.gathers, step.n_out, step.n_sum)
 
-    shape = tuple(bn.cards[v] for v in plan.keep)
     if plan.final is None:
         out = np.array(1.0)
     else:
         tables = [slots[s] for s in plan.final.factor_slots]
-        flat = contract(tables, plan.final.gathers, plan.final.n_out, 1)
-        out = flat.reshape(flat.shape[:-1] + shape)
+        flat = contract(tables, plan.final.gathers, 1, 1)
+        out = flat.reshape(flat.shape[:-1])
     if plan.scalar_leaves:  # a batch of constants multiplies row by row
-        out = out * np.reshape(const, np.shape(const) + (1,) * len(shape))
+        out = out * const
     beliefs = {}
     for v, step in plan.beliefs:
         tables = [slots[s] for s in step.factor_slots]
@@ -456,7 +429,7 @@ def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict):
 
 def bucket_eliminate_pe(bn: BayesianNetwork, e: Evidence) -> float:
     """Exact probability of evidence. Empty evidence gives 1 (normalization)."""
-    return float(eliminate(bn, e, ()))
+    return float(eliminate(bn, e))
 
 
 def bucket_eliminate_marginals(bn: BayesianNetwork, e: Evidence):

@@ -1,8 +1,9 @@
 """Min-fill elimination orders, loop cutsets and w-cutsets.
 
 ``min_fill_order`` is the one elimination-order heuristic: every exact plan
-eliminates in its order, and ``find_w_cutset`` measures width with it, so a
-w-cutset's promise holds for the plans that sum its tuples.
+eliminates all its unassigned variables in its order, and ``find_w_cutset``
+measures width with it, so a w-cutset's promise holds for the plans that sum
+its tuples.
 
 Cutset quality only affects efficiency downstream — every selection here is
 verified post-hoc (is_loop_cutset / width check) and deterministic, with ties
@@ -41,14 +42,25 @@ class Cutset:
         return math.prod(self.cards) if self.vars else 1
 
     def with_cards(self, bn: BayesianNetwork) -> "Cutset":
-        return Cutset(self.vars, self.kind, self.w, tuple(bn.cards[v] for v in self.vars))
+        """This cutset with the network's cardinalities. A repeated variable,
+        one the network lacks, or given cards that differ from the
+        network's raise ``ValueError``."""
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"cutset {self.vars} repeats a variable")
+        if any(not 0 <= v < bn.n for v in self.vars):
+            raise ValueError(f"cutset {self.vars} names a variable outside 0..{bn.n - 1}")
+        cards = tuple(bn.cards[v] for v in self.vars)
+        if self.cards and self.cards != cards:
+            raise ValueError(f"cutset cards {self.cards} differ from the network's {cards}")
+        return Cutset(self.vars, self.kind, self.w, cards)
 
 
 # ---------------------------------------------------------------------------
 # min-fill
 
-def min_fill_order(scopes, elim, keep=()) -> tuple[list[int], int]:
-    """Min-fill over the interaction graph of the scopes; kept variables stay.
+def min_fill_order(scopes, elim) -> tuple[list[int], int]:
+    """Min-fill over the interaction graph of the scopes; variables of the
+    scopes that are not in ``elim`` stay.
 
     Returns (order, width): the order eliminates ``elim`` and width is the
     most neighbours a variable has when it is eliminated. Eliminates, at each
@@ -58,8 +70,6 @@ def min_fill_order(scopes, elim, keep=()) -> tuple[list[int], int]:
     both ends of a new fill edge has one pair fewer to fill.
     """
     adj: dict[int, set[int]] = {v: set() for v in elim}
-    for v in keep:
-        adj.setdefault(v, set())
     for scope in scopes:
         for a in scope:
             for b in scope:

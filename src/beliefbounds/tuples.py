@@ -25,6 +25,8 @@ from .exact import eliminate
 from .graphs import Cutset
 from .model import BayesianNetwork, Evidence, assignment_tuples
 
+#: Largest cutset space whose tuples are all summed and ranked; past it a
+#: Gibbs chain picks them.
 EXHAUSTIVE_CAP = 4096
 
 
@@ -45,8 +47,8 @@ class ActiveTupleSet:
 
     def prefix(self, h: int) -> "ActiveTupleSet":
         """First-h view (nested sets share selection order)."""
-        if h > self.h:
-            raise ValueError(f"prefix {h} > h={self.h}")
+        if not 0 <= h <= self.h:
+            raise ValueError(f"prefix {h} outside 0..{self.h}")
         return ActiveTupleSet(cutset=self.cutset, tuples=self.tuples[:h], pe=self.pe[:h])
 
 
@@ -73,23 +75,25 @@ def select_tuples_gibbs(
     h: int,
     sweeps: int = 32,
     seed: int = 0,
-    cap: int = EXHAUSTIVE_CAP,
 ) -> ActiveTupleSet:
     """Pick h distinct cutset tuples aiming for the highest P(c, e) mass.
 
-    When the cutset space M fits under ``cap`` the selection is exhaustive:
-    the true top-h by P(c,e), ties broken lexicographically (nested prefixes
-    across h come for free). Otherwise a single seeded Gibbs chain over the
-    cutset explores tuples; every distinct visited tuple is a candidate,
-    the unseen one-coordinate neighbours of a state are evaluated in one
-    batched elimination, revisits cost nothing, zero-probability tuples are
-    admitted only when fewer than h positive-mass tuples were seen, and the
-    set is padded deterministically (one tuple per elimination) if the chain
-    found fewer than h distinct tuples. ``sweeps < 0`` raises ``ValueError``.
+    When the cutset space M is at most ``EXHAUSTIVE_CAP`` the selection is
+    exhaustive: one batched elimination gives every tuple's mass, exactly as
+    the chain would evaluate it, and the true top-h by P(c,e) is taken, ties
+    broken lexicographically (nested prefixes across h come for free).
+    Otherwise a single seeded Gibbs chain over the cutset explores tuples;
+    every distinct visited tuple is a candidate, the unseen one-coordinate
+    neighbours of a state are evaluated in one batched elimination, revisits
+    cost nothing, zero-probability tuples are admitted only when fewer than
+    h positive-mass tuples were seen, and the set is padded deterministically
+    (one tuple per elimination) if the chain found fewer than h distinct
+    tuples. ``sweeps < 0`` raises ``ValueError``; so does a cutset that does
+    not fit the network (see ``Cutset.with_cards``).
     """
     if sweeps < 0:
         raise ValueError(f"sweeps must be at least 0, got {sweeps}")
-    c = c if c.cards else c.with_cards(bn)
+    c = c.with_cards(bn)
     m = c.n_tuples
     if h > m:
         raise ValueError(f"h={h} exceeds cutset space M={m}")
@@ -98,19 +102,11 @@ def select_tuples_gibbs(
     if h == 0:
         return ActiveTupleSet(cutset=c, tuples=(), pe=np.array([], dtype=np.float64))
 
-    if m <= cap:
-        # the cutset's own values replace evidence on shared variables; a
-        # tuple that contradicts that evidence has mass 0
-        grid = eliminate(bn, {v: x for v, x in e.items() if v not in c.vars}, c.vars)
-        for k, v in enumerate(c.vars):
-            if v in e:
-                grid[(slice(None),) * k + (np.arange(c.cards[k]) != e[v],)] = 0.0
-        table = grid.reshape(-1)
-        order = sorted(range(m), key=lambda i: (-table[i], i))[:h]
-        all_tuples = list(assignment_tuples(c.cards))
-        tuples = tuple(all_tuples[i] for i in order)
-        pe = np.array([table[i] for i in order], dtype=np.float64)
-        return ActiveTupleSet(cutset=c, tuples=tuples, pe=pe)
+    if m <= EXHAUSTIVE_CAP:
+        masses = _tuple_masses(bn, e, c, list(assignment_tuples(c.cards)))
+        ranked = sorted(masses.items(), key=lambda kv: (-kv[1], kv[0]))[:h]
+        pe = np.array([p for _, p in ranked], dtype=np.float64)
+        return ActiveTupleSet(cutset=c, tuples=tuple(t for t, _ in ranked), pe=pe)
 
     return _gibbs_select(bn, e, c, h, sweeps, seed)
 
@@ -176,7 +172,7 @@ def _tuple_masses(bn, e, c, tups) -> dict[tuple[int, ...], float]:
     columns = np.array(tups, dtype=np.int64).reshape(len(tups), c.size).T
     assigned = {v: x for v, x in e.items() if v not in c.vars}
     assigned.update(zip(c.vars, columns))
-    out = eliminate(bn, assigned, ()).reshape(len(tups))
+    out = eliminate(bn, assigned).reshape(len(tups))
     for k, v in enumerate(c.vars):
         if v in e:
             out[columns[k] != e[v]] = 0.0

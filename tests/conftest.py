@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from beliefbounds import tuples as tuples_mod
 from beliefbounds.bounder import (
     DEFAULT_K,
     DEFAULT_MAX_ITERS,
@@ -416,12 +417,11 @@ def reference_greedy_lp(lp: BlanketLp, sense: str) -> float:
 # references: the one-at-a-time forms that the batched, incremental and
 # hoisted code must reproduce bit for bit
 
-def reference_min_fill_sequence(scopes, elim, keep) -> list[int]:
+def reference_min_fill_sequence(scopes, elim) -> list[int]:
     """Min-fill that rescans every remaining variable at every step: the
-    order ``graphs.min_fill_order`` must return."""
+    order ``graphs.min_fill_order`` must return. Variables of the scopes
+    that are not in ``elim`` stay."""
     adj: dict[int, set[int]] = {v: set() for v in elim}
-    for v in keep:
-        adj.setdefault(v, set())
     for fv in scopes:
         for a in fv:
             for b in fv:
@@ -432,7 +432,7 @@ def reference_min_fill_sequence(scopes, elim, keep) -> list[int]:
     while remaining:
         best, best_key = None, None
         for v in sorted(remaining):
-            nbrs = [u for u in adj[v] if u in remaining or u in set(keep)]
+            nbrs = list(adj[v])
             fill = 0
             for i in range(len(nbrs)):
                 for j in range(i + 1, len(nbrs)):
@@ -562,6 +562,14 @@ def reference_partial_terms(inputs, var: int, value: int):
     return nls, terms, nus, ols
 
 
+def select_by_chain(bn, e, c, h, **options) -> ActiveTupleSet:
+    """``select_tuples_gibbs`` on its Gibbs chain however small the cutset
+    space is: ``EXHAUSTIVE_CAP`` is 0 for the call."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tuples_mod, "EXHAUSTIVE_CAP", 0)
+        return select_tuples_gibbs(bn, e, c, h, **options)
+
+
 def reference_gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
     """The Gibbs chain of ``select_tuples_gibbs`` with one scalar
     ``bucket_eliminate_pe`` per newly visited tuple: the tuples and masses
@@ -650,7 +658,7 @@ def prior_mass_bounds(bn: BayesianNetwork, e, a, extra=None) -> tuple[float, flo
     merged, conflict = merge_assignment({}, _as_pairs(a), extra)
     if conflict:
         return 0.0, 0.0
-    return 0.0, min(1.0, float(eliminate(bn, merged, ())))
+    return 0.0, min(1.0, float(eliminate(bn, merged)))
 
 
 def chain_joint_bounds(
@@ -661,7 +669,7 @@ def chain_joint_bounds(
     merged, conflict = merge_assignment({}, _as_pairs(a), extra)
     if conflict:
         return 0.0, 0.0
-    return _chain_bounds(bn, e, merged, float(eliminate(bn, merged, ())), k, iters)
+    return _chain_bounds(bn, e, merged, float(eliminate(bn, merged)), k, iters)
 
 
 def prior_mass_closed_interval(inputs, var: int, value: int):

@@ -23,7 +23,7 @@ from beliefbounds.bounder import (
 )
 from beliefbounds.graphs import find_loop_cutset
 from beliefbounds.model import BayesianNetwork, Cpt, Variable, ancestors_of
-from beliefbounds.tuples import build_truncated_tree, select_tuples_gibbs
+from beliefbounds.tuples import EXHAUSTIVE_CAP, build_truncated_tree, select_tuples_gibbs
 
 from conftest import (
     BlanketLpInfeasible,
@@ -40,6 +40,7 @@ from conftest import (
     random_network,
     random_tree_network,
     reference_greedy_lp,
+    select_by_chain,
     solve_blanket_lp_exact,
 )
 
@@ -199,24 +200,26 @@ class TestPropagation:
                 assert math.fsum(mb.lows[v].tolist()) <= 1.0 + 1e-9
                 assert math.fsum(mb.highs[v].tolist()) >= 1.0 - 1e-9
 
-    def test_more_iterations_never_widen(self, rng):
+    def test_more_iterations_never_widen(self, rng, monkeypatch):
+        monkeypatch.setattr(bounder_mod, "DEFAULT_TOL", 0.0)  # every sweep runs
         for _ in range(8):
             bn = random_network(rng, n=6)
             e = random_evidence(rng, bn)
-            prev = propagate_marginal_bounds(bn, e, max_iters=1, tol=0.0)
+            prev = propagate_marginal_bounds(bn, e, max_iters=1)
             for iters in (2, 4):
-                cur = propagate_marginal_bounds(bn, e, max_iters=iters, tol=0.0)
+                cur = propagate_marginal_bounds(bn, e, max_iters=iters)
                 for v in range(bn.n):
                     assert np.all(cur.lows[v] >= prev.lows[v] - 1e-15)
                     assert np.all(cur.highs[v] <= prev.highs[v] + 1e-15)
                 prev = cur
 
-    def test_intervals_stay_ordered_and_lows_never_fall(self):
+    def test_intervals_stay_ordered_and_lows_never_fall(self, monkeypatch):
         # When the greedy min came out an ulp above the greedy max, the upper
         # end was clamped against the old lower end and crossed the new one;
         # the next sweep then lowered L. The grid case crossed on variable 0
         # at max_iters=7.
         cases = [(grid_network(4, 5, 30, 0), {10: 0, 12: 0, 15: 1, 6: 1, 8: 1, 1: 0})]
+        monkeypatch.setattr(bounder_mod, "DEFAULT_TOL", 0.0)  # every sweep runs
         rng = np.random.default_rng(5)
         for _ in range(25):
             bn = random_network(rng, n=int(rng.integers(5, 10)), max_card=2)
@@ -224,7 +227,7 @@ class TestPropagation:
         for bn, e in cases:
             prev = None
             for iters in range(1, 10):
-                cur = propagate_marginal_bounds(bn, e, max_iters=iters, tol=0.0)
+                cur = propagate_marginal_bounds(bn, e, max_iters=iters)
                 for v in range(bn.n):
                     assert np.all(cur.lows[v] <= cur.highs[v]), (v, iters)
                     if prev is not None:
@@ -280,11 +283,12 @@ class TestPropagation:
         for v in mb.skipped:
             assert np.all(mb.lows[v] == 0.0) and np.all(mb.highs[v] == 1.0)
 
-    def test_collapses_on_directed_trees(self, rng):
+    def test_collapses_on_directed_trees(self, rng, monkeypatch):
         # No evidence and a tree: point constraints force exact priors.
         bn = random_tree_network(rng, n=7)
         _, post = brute_posteriors(bn, {})
-        mb = propagate_marginal_bounds(bn, {}, max_iters=50, tol=1e-9)
+        monkeypatch.setattr(bounder_mod, "DEFAULT_TOL", 1e-9)
+        mb = propagate_marginal_bounds(bn, {}, max_iters=50)
         for v in range(bn.n):
             np.testing.assert_allclose(mb.lows[v], post[v], atol=1e-6)
             np.testing.assert_allclose(mb.highs[v], post[v], atol=1e-6)
@@ -557,6 +561,7 @@ class TestBounderPlugins:
         with pytest.raises(ValueError, match="k must be at least 0, got -1"):
             propagate_marginal_bounds(bn, e, k=-1)
         cut = find_loop_cutset(bn, exclude=frozenset(e))
-        for cap in (0, cut.n_tuples):  # the Gibbs path and the exhaustive one
+        assert cut.n_tuples <= EXHAUSTIVE_CAP
+        for select in (select_by_chain, select_tuples_gibbs):  # the Gibbs path, the exhaustive one
             with pytest.raises(ValueError, match="sweeps must be at least 0, got -5"):
-                select_tuples_gibbs(bn, e, cut, 1, sweeps=-5, cap=cap)
+                select(bn, e, cut, 1, sweeps=-5)

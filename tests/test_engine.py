@@ -40,6 +40,7 @@ from conftest import (
     random_tree_network,
     reference_exact_sums,
     reference_partial_terms,
+    select_by_chain,
 )
 
 
@@ -306,6 +307,24 @@ class TestQueryValidation:
         with pytest.raises(NetworkFormatError, match="variable 9"):
             run_engine(bn, {9: 0}, h=1)
 
+    def test_given_cutset_must_fit_the_network(self):
+        # cards (1,) on the ternary variable 1 once covered a third of the
+        # cutset space and reported P(e) as a point far below the truth
+        bn = random_network(np.random.default_rng(3), n=6)
+        e = {5: 0}
+        assert bn.cards[1] == 3
+        for cutset in (
+            Cutset((1,), cards=(1,)), Cutset((1,), cards=(4,)), Cutset((0, 0)), Cutset((9,)),
+        ):
+            with pytest.raises(ValueError, match="cutset"):
+                run_engine(bn, e, 1, cutset=cutset)
+        active = ActiveTupleSet(Cutset((1,), cards=(1,)), ((0,),), np.ones(1))
+        with pytest.raises(ValueError, match="differ from the network's"):
+            prepare_inputs(bn, e, active, make_bounder("bf", bn, e, (1,)))
+        report = run_engine(bn, e, 1, cutset=Cutset((1,), cards=(3,)))
+        pe = enumerate_oracle(bn, e)[0]
+        assert report.evidence[0] <= pe <= report.evidence[1]
+
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_cutset_sharing_evidence_runs(self, exhaustive):
         # the cutset names observed variable 4: tuples with 4=1 contradict
@@ -319,7 +338,7 @@ class TestQueryValidation:
             if exhaustive:
                 report = run_engine(bn, e, h=h, cutset=cut)
             else:  # the Gibbs branch
-                active = select_tuples_gibbs(bn, e, cut, h, cap=0)
+                active = select_by_chain(bn, e, cut, h)
                 bounder = make_bounder("bf", bn, e, cut.vars)
                 report = compute_report(prepare_inputs(bn, e, active, bounder))
             if h >= 2:

@@ -49,36 +49,10 @@ class TestEliminate:
             want = brute_event_mass(bn, e)
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_keep_tables_match_per_value_masses(self, rng):
-        for _ in range(15):
-            bn = random_network(rng, n=6)
-            e = random_evidence(rng, bn)
-            free = [v for v in range(bn.n) if v not in e]
-            v = free[int(rng.integers(len(free)))]
-            table = eliminate(bn, e, (v,))
-            assert table.shape == (bn.cards[v],)
-            for val in range(bn.cards[v]):
-                want = brute_event_mass(bn, {**e, v: val})
-                assert table[val] == pytest.approx(want, abs=1e-12)
-
-    def test_two_variable_keep_axes_follow_keep_order(self, rng):
-        bn = random_network(rng, n=5)
-        free = [v for v in range(bn.n)]
-        a, b = free[0], free[1]
-        t_ab = eliminate(bn, {}, (a, b))
-        t_ba = eliminate(bn, {}, (b, a))
-        np.testing.assert_allclose(t_ab, t_ba.T, atol=0)
-        assert t_ab[1, 0] == pytest.approx(brute_event_mass(bn, {a: 1, b: 0}), abs=1e-12)
-
-    def test_keep_of_assigned_variable_rejected(self, rng):
-        bn = random_network(rng, n=4)
-        with pytest.raises(ValueError, match="must not be assigned"):
-            eliminate(bn, {0: 1}, (0,))
-
     def test_cap_enforced(self, rng):
         bn = random_network(rng, n=10, max_card=3)
         with pytest.raises(ScopeCapError):
-            eliminate(bn, {}, tuple(range(bn.n)), cap=8)
+            _run(bn, {}, tuple(range(bn.n)), 8)
 
     def test_zero_row_networks_stay_exact(self, rng):
         for _ in range(15):
@@ -90,48 +64,46 @@ class TestEliminate:
 
 class TestBatchedEliminate:
     @staticmethod
-    def _case(seed, n_keep, batch, zero_rows):
-        """Random network (cards 2-3), scalar evidence, array values on other
-        variables (a batch of assignments) and n_keep kept variables."""
+    def _case(seed, batch, zero_rows):
+        """Random network (cards 2-3), scalar evidence and array values on
+        other variables (a batch of assignments)."""
         rng = np.random.default_rng(seed)
-        bn = random_network(rng, n=int(rng.integers(n_keep + 1, 9)), zero_rows=zero_rows)
-        order = [int(v) for v in rng.permutation(bn.n)]
-        keep, rest = tuple(order[:n_keep]), order[n_keep:]
+        bn = random_network(rng, n=int(rng.integers(1, 9)), zero_rows=zero_rows)
+        rest = [int(v) for v in rng.permutation(bn.n)]
         n_arr = int(rng.integers(1, len(rest) + 1))
         n_ev = int(rng.integers(0, len(rest) - n_arr + 1))
         arrays = {v: rng.integers(bn.cards[v], size=batch) for v in rest[:n_arr]}
         e = {v: int(rng.integers(bn.cards[v])) for v in rest[n_arr:n_arr + n_ev]}
-        return bn, e, arrays, keep
+        return bn, e, arrays
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_keep=st.sampled_from([0, 1, 2]),
         batch=st.sampled_from([1, 2, 5]),
         zero_rows=st.booleans(),
     )
-    def test_rows_equal_one_assignment_calls(self, seed, n_keep, batch, zero_rows):
-        bn, e, arrays, keep = self._case(seed, n_keep, batch, zero_rows)
-        got = eliminate(bn, {**e, **arrays}, keep)
-        assert got.shape == (batch,) + tuple(bn.cards[v] for v in keep)
+    def test_rows_equal_one_assignment_calls(self, seed, batch, zero_rows):
+        bn, e, arrays = self._case(seed, batch, zero_rows)
+        got = eliminate(bn, {**e, **arrays})
+        assert got.shape == (batch,)
         for i in range(batch):
             one = {v: int(a[i]) for v, a in arrays.items()}
-            want = eliminate(bn, {**e, **one}, keep)
-            assert np.array_equal(got[i], want)
+            want = eliminate(bn, {**e, **one})
+            assert got[i] == want
 
     def test_chunks_within_the_cap_change_nothing(self, rng):
         for seed in range(20):
-            bn, e, arrays, keep = self._case(seed, seed % 3, 7, seed % 2 == 0)
+            bn, e, arrays = self._case(seed, 7, seed % 2 == 0)
             assigned = {**e, **arrays}
-            want = eliminate(bn, assigned, keep)
-            peak = _plan_for(bn, tuple(sorted(assigned)), keep, DEFAULT_TABLE_CAP).peak
+            want = eliminate(bn, assigned)
+            peak = _plan_for(bn, tuple(sorted(assigned)), DEFAULT_TABLE_CAP).peak
             for cap in (peak, 2 * peak + 1):  # chunks of one row, of two rows
-                assert np.array_equal(eliminate(bn, assigned, keep, cap=cap), want)
+                assert np.array_equal(_run(bn, assigned, (), cap)[0], want)
 
     def test_unequal_batch_lengths_rejected(self, rng):
         bn = random_network(rng, n=5)
         with pytest.raises(ValueError, match="one length"):
-            eliminate(bn, {0: np.array([0, 1]), 1: np.array([1, 0, 1])}, ())
+            eliminate(bn, {0: np.array([0, 1]), 1: np.array([1, 0, 1])})
 
 
 def _ancestral_set(bn, seeds) -> set[int]:
@@ -148,12 +120,12 @@ class TestAncestralPruning:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_keep=st.sampled_from([0, 1]),
+        n_wanted=st.sampled_from([0, 1]),
         batch=st.sampled_from([0, 1, 3]),
         leaf_evidence=st.booleans(),
     )
     def test_eliminate_is_within_1e13_of_exact_rationals(
-        self, seed, n_keep, batch, leaf_evidence
+        self, seed, n_wanted, batch, leaf_evidence
     ):
         rng = np.random.default_rng(seed)
         n_core = int(rng.integers(2, 5))
@@ -164,21 +136,25 @@ class TestAncestralPruning:
         if leaf_evidence:  # on at most two leaves, and never on all of them
             e.update({v: int(rng.integers(bn.cards[v])) for v in leaves[:min(2, len(leaves) - 1)]})
         free = [v for v in core + leaves if v not in e]
-        keep = tuple(free[:n_keep])
+        wanted = tuple(free[:n_wanted])
         # batched calls give array values to up to two more variables
         arrays = {
-            v: rng.integers(bn.cards[v], size=batch) for v in free[n_keep:n_keep + 2]
+            v: rng.integers(bn.cards[v], size=batch) for v in free[n_wanted:n_wanted + 2]
         } if batch else {}
-        got = eliminate(bn, {**e, **arrays}, keep)
+        got = eliminate(bn, {**e, **arrays})
+        tables = eliminate_marginals(bn, {**e, **arrays}, wanted)[1]
         rows = [{v: int(a[i]) for v, a in arrays.items()} for i in range(batch)] or [{}]
         if not batch:
             got = got[None]
+            tables = {v: t[None] for v, t in tables.items()}
         tolerance = Fraction(1, 10**13)
-        for row, assigned in zip(got, rows):
-            want = np.array(fraction_event_mass(bn, {**e, **assigned}, keep), dtype=object)
-            for cell, exact in np.ndenumerate(want):
-                error = abs(Fraction(float(row[cell])) - exact)
-                assert error <= tolerance * exact, (cell, float(row[cell]), float(exact))
+        for i, assigned in enumerate(rows):
+            cases = [(float(got[i]), fraction_event_mass(bn, {**e, **assigned}))]
+            for v in wanted:
+                want = fraction_event_mass(bn, {**e, **assigned}, (v,))
+                cases += [(float(x), exact) for x, exact in zip(tables[v][i], want)]
+            for x, exact in cases:
+                assert abs(Fraction(x) - exact) <= tolerance * exact, (x, float(exact))
 
     def test_prior_plan_takes_only_the_ancestral_cpts(self, rng):
         for _ in range(40):
@@ -187,8 +163,8 @@ class TestAncestralPruning:
             order = [int(v) for v in rng.permutation(bn.n)]
             n_assigned = int(rng.integers(0, 3))
             assigned = tuple(sorted(order[:n_assigned]))
-            keep = tuple(order[n_assigned:n_assigned + int(rng.integers(0, 2))])
-            plan = _plan_for(bn, assigned, keep, DEFAULT_TABLE_CAP)
+            wanted = tuple(order[n_assigned:n_assigned + int(rng.integers(0, 2))])
+            plan = _plan_for(bn, assigned, DEFAULT_TABLE_CAP, wanted)
             taken = (
                 [t for t in plan.leaves if t is not None]
                 + [t for _, t, _, _ in plan.sliced]
@@ -198,7 +174,7 @@ class TestAncestralPruning:
                 v for v in range(bn.n)
                 if any(np.shares_memory(t, bn.cpts[v].table) for t in taken)
             )
-            assert held == sorted(_ancestral_set(bn, assigned + keep))
+            assert held == sorted(_ancestral_set(bn, assigned + wanted))
             assert len(taken) == len(held)
 
 
@@ -247,8 +223,8 @@ class TestBucketTree:
             key = tuple(sorted(wanted))
             sliced = tuple(sorted(v for v in assigned if v not in indicated))
             ind = tuple(sorted(indicated))
-            cap = _plan_for(bn, sliced, (), DEFAULT_TABLE_CAP, key, ind).peak
-            total, tables = _run(bn, assigned, (), key, cap, ind)
+            cap = _plan_for(bn, sliced, DEFAULT_TABLE_CAP, key, ind).peak
+            total, tables = _run(bn, assigned, key, cap, ind)
         else:
             total, tables = eliminate_marginals(bn, assigned, wanted, indicated)
         assert sorted(tables) == sorted(wanted)
@@ -301,7 +277,7 @@ class TestBucketTree:
             e = random_evidence(rng, bn)
             total, tables = eliminate_marginals(bn, e, ())
             assert tables == {}
-            assert total == eliminate(bn, e, ())
+            assert total == eliminate(bn, e)
 
     def test_barren_buckets_are_never_computed(self, rng):
         # every bucket of a variable no assigned one descends from sums to
@@ -311,15 +287,22 @@ class TestBucketTree:
             bn = random_network(rng, n=int(rng.integers(2, 9)))
             e = random_evidence(rng, bn)
             wanted = [v for v in range(bn.n) if v not in e]
-            tree = _plan_for(bn, tuple(sorted(e)), (), DEFAULT_TABLE_CAP, tuple(wanted))
-            prior = _plan_for(bn, tuple(sorted(e)), (), DEFAULT_TABLE_CAP)
+            tree = _plan_for(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP, tuple(wanted))
+            prior = _plan_for(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP)
             assert len(tree.steps) == len(prior.steps)
             assert eliminate_marginals(bn, {}, range(bn.n))[0] == 1.0
 
-    def test_keep_and_wanted_exclude_each_other(self, rng):
-        bn = random_network(rng, n=4)
-        with pytest.raises(ValueError, match="not both"):
-            _plan_for(bn, (0,), (1,), DEFAULT_TABLE_CAP, (2,))
+    def test_wanted_tables_match_per_value_masses(self, rng):
+        for _ in range(15):
+            bn = random_network(rng, n=6)
+            e = random_evidence(rng, bn)
+            free = [v for v in range(bn.n) if v not in e]
+            v = free[int(rng.integers(len(free)))]
+            table = eliminate_marginals(bn, e, (v,))[1][v]
+            assert table.shape == (bn.cards[v],)
+            for val in range(bn.cards[v]):
+                want = brute_event_mass(bn, {**e, v: val})
+                assert table[val] == pytest.approx(want, abs=1e-12)
 
     def test_wanted_assigned_variable_rejected(self, rng):
         bn = random_network(rng, n=4)
@@ -451,14 +434,17 @@ class TestKernelSeam:
             bn = random_network(rng, n=int(rng.integers(4, 9)))
             e = random_evidence(rng, bn)
             free = [v for v in range(bn.n) if v not in e]
-            keep = tuple(free[:1])
-            want = eliminate(bn, e, keep)
-            plan = _plan_for(bn, tuple(sorted(e)), keep, DEFAULT_TABLE_CAP)
+            wanted = tuple(free[:1])
+            want = eliminate_marginals(bn, e, wanted)
+            plan = _plan_for(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP, wanted)
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(kernels, "active", types.SimpleNamespace(contract_bucket=counting))
                 m.setattr(kernels, "contract_bucket", bypass)
-                got = eliminate(bn, e, keep)
-            np.testing.assert_array_equal(got, want)
-            assert len(calls) == len(plan.steps) + (plan.final is not None)
+                got = eliminate_marginals(bn, e, wanted)
+            assert got[0] == want[0]
+            for v in wanted:
+                np.testing.assert_array_equal(got[1][v], want[1][v])
+            steps = len(plan.steps) + len(plan.down) + len(plan.beliefs)
+            assert len(calls) == steps + (plan.final is not None)
             assert calls

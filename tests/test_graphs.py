@@ -50,19 +50,19 @@ class TestMinFill:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 14),
-        n_keep=st.integers(0, 3),
+        n_stay=st.integers(0, 3),
         density=st.sampled_from([0.15, 0.35, 0.7]),
     )
-    def test_same_order_as_the_rescanning_reference(self, seed, n, n_keep, density):
+    def test_same_order_as_the_rescanning_reference(self, seed, n, n_stay, density):
         rng = np.random.default_rng(seed)
         variables = [int(v) for v in rng.permutation(n)]
         scopes = []
         for _ in range(int(rng.integers(0, 2 * n + 1))):
             scopes.append(tuple(v for v in variables if rng.random() < density))
-        keep = tuple(variables[:min(n_keep, n)])
-        elim = sorted(variables[len(keep):])
-        want = reference_min_fill_sequence(scopes, elim, keep)
-        assert min_fill_order(scopes, elim, keep) == (want, reference_induced_width(scopes, want))
+        # the first n_stay variables stay, as the cutset does in a plan
+        elim = sorted(variables[n_stay:])
+        want = reference_min_fill_sequence(scopes, elim)
+        assert min_fill_order(scopes, elim) == (want, reference_induced_width(scopes, want))
 
 
 class TestInducedWidth:
@@ -89,6 +89,22 @@ class TestInducedWidth:
         for _ in range(10):
             bn = random_tree_network(rng, n=int(rng.integers(3, 10)))
             assert min_fill_order(_scopes(bn), range(bn.n))[1] <= 1
+
+
+class TestCutsetCards:
+    def test_with_cards_checks_the_cutset_against_the_network(self):
+        cut = Cutset((2, 0), kind="w", w=1)
+        assert cut.with_cards(DIAMOND) == Cutset((2, 0), kind="w", w=1, cards=(2, 2))
+        assert Cutset((2, 0), cards=(2, 2)).with_cards(DIAMOND).cards == (2, 2)
+        for bad, message in (
+            (Cutset((1, 1)), "repeats"),
+            (Cutset((4,)), "outside"),
+            (Cutset((-1,)), "outside"),
+            (Cutset((1,), cards=(1,)), "differ"),
+            (Cutset((1, 3), cards=(2, 3)), "differ"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                bad.with_cards(DIAMOND)
 
 
 class TestLoopCutset:
@@ -155,7 +171,7 @@ class TestWCutset:
         bn = grid_network(6, 12, 0)
         cut = find_w_cutset(bn, 8, exclude={71})
         assert cut.vars
-        assert _plan_for(bn, tuple(sorted(cut.vars + (71,))), (), DEFAULT_TABLE_CAP).peak <= 2**9
+        assert _plan_for(bn, tuple(sorted(cut.vars + (71,))), DEFAULT_TABLE_CAP).peak <= 2**9
 
     def test_larger_w_never_needs_more_vertices(self, rng):
         for _ in range(10):

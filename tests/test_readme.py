@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from beliefbounds.exact import bucket_eliminate_pe, eliminate
+from beliefbounds.exact import bucket_eliminate_pe
 
 from conftest import grid_network, network_text
 
@@ -43,7 +43,8 @@ def test_batched_eliminate_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(first, str(README), "exec"), scope)
     capsys.readouterr()
     exec(compile(batched, str(README), "exec"), scope)
-    assert capsys.readouterr().out.strip() == f"({scope['active'].h}, 2)"
+    h = scope["active"].h
+    assert capsys.readouterr().out.strip() == f"({h},) ({h}, 2)"
 
 
 def test_eliminate_marginals_example_runs(tmp_path, monkeypatch, capsys):
@@ -57,5 +58,5 @@ def test_eliminate_marginals_example_runs(tmp_path, monkeypatch, capsys):
     pe, posterior = capsys.readouterr().out.strip().split(" ", 1)
     bn, e = scope["bn"], scope["e"]
     assert float(pe) == pytest.approx(bucket_eliminate_pe(bn, e), rel=1e-12)
-    want = eliminate(bn, e, (7,)) / float(pe)
-    assert ast.literal_eval(posterior) == pytest.approx(want.tolist(), rel=1e-12)
+    want = [bucket_eliminate_pe(bn, {**e, 7: x}) / float(pe) for x in range(bn.cards[7])]
+    assert ast.literal_eval(posterior) == pytest.approx(want, rel=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beliefbounds.exact as exact_mod
+import beliefbounds.tuples as tuples_mod
 from beliefbounds.exact import bucket_eliminate_pe
 from beliefbounds.graphs import Cutset, find_loop_cutset
 from beliefbounds.model import (
@@ -33,6 +34,7 @@ from conftest import (
     random_evidence,
     random_network,
     reference_gibbs_select,
+    select_by_chain,
 )
 
 
@@ -167,20 +169,37 @@ class TestExhaustiveSelection:
             assert again.tuples == full.prefix(h).tuples
 
     def test_cutset_sharing_evidence_gives_conflicting_tuples_zero_mass(self):
-        bn = grid_network(3, 3, 0, 1)
-        e = {8: 1, 4: 0}
-        cut = Cutset(vars=(4, 1)).with_cards(bn)  # 4 is also observed
-        want = {}
-        for tup in assignment_tuples(cut.cards):
-            merged, conflict = merge_assignment(e, tuple(zip(cut.vars, tup)))
-            want[tup] = 0.0 if conflict else bucket_eliminate_pe(bn, merged)
-        active = select_tuples_gibbs(bn, e, cut, cut.n_tuples)
-        assert set(active.tuples) == set(want)
-        for tup, pe in zip(active.tuples, active.pe):
-            assert pe == pytest.approx(want[tup], rel=1e-12, abs=0.0)
-        # the sampler path gives the same masses
-        gibbs = select_tuples_gibbs(bn, e, cut, cut.n_tuples, cap=0)
-        assert dict(zip(gibbs.tuples, gibbs.pe.tolist())) == want
+        # the first cutset variable is also observed
+        for bn, e, cvars in (
+            (grid_network(3, 3, 0, 1), {8: 1, 4: 0}, (4, 1)),
+            (grid_network(3, 4, 1, 1), {11: 1, 5: 0}, (5, 1, 6)),
+        ):
+            cut = Cutset(vars=cvars).with_cards(bn)
+            want = {}
+            for tup in assignment_tuples(cut.cards):
+                merged, conflict = merge_assignment(e, tuple(zip(cut.vars, tup)))
+                want[tup] = 0.0 if conflict else bucket_eliminate_pe(bn, merged)
+            active = select_tuples_gibbs(bn, e, cut, cut.n_tuples)
+            assert set(active.tuples) == set(want)
+            for tup, pe in zip(active.tuples, active.pe):
+                assert pe == want[tup]
+            # the sampler path gives the same masses
+            gibbs = select_by_chain(bn, e, cut, cut.n_tuples)
+            assert dict(zip(gibbs.tuples, gibbs.pe.tolist())) == want
+
+    def test_masses_equal_the_chain_s_bit_for_bit(self, rng):
+        # both branches sum every tuple the same way: one batched
+        # elimination, conflicts with shared evidence zeroed after
+        for seed in range(8):
+            bn = grid_network(*((3, 4) if seed % 2 else (4, 4)), seed)
+            e = random_evidence(rng, bn, max_obs=3)
+            cut = find_loop_cutset(bn).with_cards(bn)  # may share evidence
+            m = cut.n_tuples
+            exhaustive = select_tuples_gibbs(bn, e, cut, m)
+            chain = select_by_chain(bn, e, cut, m, sweeps=2, seed=seed)
+            assert set(exhaustive.tuples) == set(chain.tuples) == set(assignment_tuples(cut.cards))
+            got = dict(zip(exhaustive.tuples, exhaustive.pe.tolist()))
+            assert got == dict(zip(chain.tuples, chain.pe.tolist()))
 
     def test_h_out_of_range(self, rng):
         bn = random_network(rng, n=5)
@@ -202,9 +221,9 @@ class TestGibbsSelection:
     def test_sampler_path_properties(self, rng):
         bn, cut = self._loopy_net(rng)
         h = min(6, cut.n_tuples)
-        # cap=0 forces the sampling path even though M is small
-        a1 = select_tuples_gibbs(bn, {}, cut, h, sweeps=4, seed=11, cap=0)
-        a2 = select_tuples_gibbs(bn, {}, cut, h, sweeps=4, seed=11, cap=0)
+        # the sampling path even though M is small
+        a1 = select_by_chain(bn, {}, cut, h, sweeps=4, seed=11)
+        a2 = select_by_chain(bn, {}, cut, h, sweeps=4, seed=11)
         assert a1.tuples == a2.tuples  # seeded determinism
         assert len(set(a1.tuples)) == h  # distinct
         for tup, p in zip(a1.tuples, a1.pe):
@@ -214,14 +233,14 @@ class TestGibbsSelection:
     def test_padding_reaches_h_without_sweeps(self, rng):
         bn, cut = self._loopy_net(rng)
         h = min(8, cut.n_tuples)
-        active = select_tuples_gibbs(bn, {}, cut, h, sweeps=0, seed=3, cap=0)
+        active = select_by_chain(bn, {}, cut, h, sweeps=0, seed=3)
         assert active.h == h
         assert len(set(active.tuples)) == h
 
     def test_tree_build_works_on_sampled_sets(self, rng):
         bn, cut = self._loopy_net(rng)
         h = min(5, cut.n_tuples)
-        active = select_tuples_gibbs(bn, {}, cut, h, sweeps=3, seed=1, cap=0)
+        active = select_by_chain(bn, {}, cut, h, sweeps=3, seed=1)
         tree = build_truncated_tree(cut, active)
         TestTruncatedTree._covers_once(tree, cut.cards)
 
@@ -230,7 +249,7 @@ class TestGibbsSelection:
         # last value tried, 2, whose prior is 0) for X1 to move to 1 and find
         # the only positive tuple
         bn, e, cut = _zero_conditional_case()
-        active = select_tuples_gibbs(bn, e, cut, 1, sweeps=1, seed=0, cap=0)
+        active = select_by_chain(bn, e, cut, 1, sweeps=1, seed=0)
         assert active.tuples == ((0, 1),)
         assert active.pe[0] == pytest.approx(0.01)
 
@@ -291,7 +310,7 @@ class TestBatchedChain:
             cvars = sorted(set(cvars) | {min(e)})
         cut = Cutset(vars=tuple(cvars)).with_cards(bn)
         h = data.draw(st.integers(0, min(cut.n_tuples, 8)), label="h")
-        got = select_tuples_gibbs(bn, e, cut, h, sweeps=sweeps, seed=seed, cap=0)
+        got = select_by_chain(bn, e, cut, h, sweeps=sweeps, seed=seed)
         want = reference_gibbs_select(bn, e, cut, h, sweeps, seed)
         assert got.tuples == want.tuples
         assert got.pe.tobytes() == want.pe.tobytes()
@@ -300,7 +319,7 @@ class TestBatchedChain:
     def test_all_zero_conditional_equals_the_scalar_reference(self, sweeps):
         bn, e, cut = _zero_conditional_case()
         for h in range(cut.n_tuples + 1):
-            got = select_tuples_gibbs(bn, e, cut, h, sweeps=sweeps, seed=0, cap=0)
+            got = select_by_chain(bn, e, cut, h, sweeps=sweeps, seed=0)
             want = reference_gibbs_select(bn, e, cut, h, sweeps, 0)
             assert got.tuples == want.tuples
             assert got.pe.tobytes() == want.pe.tobytes()
@@ -315,7 +334,7 @@ class TestBatchedChain:
         calls = []
         run = exact_mod._run
         monkeypatch.setattr(exact_mod, "_run", lambda *a: calls.append(1) or run(*a))
-        active = select_tuples_gibbs(bn, e, cut, h, sweeps=sweeps, seed=seed, cap=0)
+        active = select_by_chain(bn, e, cut, h, sweeps=sweeps, seed=seed)
         assert active.h == h
         assert len(calls) <= _state_changes(bn, e, cut, sweeps, seed) + 2 + padded
 
@@ -328,7 +347,8 @@ class TestBatchedChain:
         calls = []
         run = exact_mod._run
         monkeypatch.setattr(exact_mod, "_run", lambda *a: calls.append(1) or run(*a))
-        active = select_tuples_gibbs(bn, e, cut, 0, cap=cap)
+        monkeypatch.setattr(tuples_mod, "EXHAUSTIVE_CAP", cap)
+        active = select_tuples_gibbs(bn, e, cut, 0)
         assert calls == []
         assert active.tuples == () and active.pe.dtype == np.float64 and active.pe.size == 0
         assert active.cutset.cards == cut.cards
@@ -374,5 +394,7 @@ class TestPrefixViews:
         view = active.prefix(2)
         assert view.tuples == active.tuples[:2]
         np.testing.assert_array_equal(view.pe, active.pe[:2])
-        with pytest.raises(ValueError, match="prefix"):
-            active.prefix(m + 1)
+        assert active.prefix(0).tuples == ()
+        for h in (m + 1, -1):  # a negative h would slice from the end
+            with pytest.raises(ValueError, match=f"prefix {h} outside"):
+                active.prefix(h)
