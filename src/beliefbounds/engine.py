@@ -113,6 +113,11 @@ def prepare_inputs(
     if bounder.bn is not bn or bounder.e != e or bounder.cutset_vars != active.cutset.vars:
         raise ValueError("the bounder was built for another network, evidence or cutset")
     c = active.cutset.with_cards(bn)
+    h = active.h
+    columns = np.array(active.tuples, dtype=np.int64).reshape(h, len(c.vars)).T
+    cards = np.array(c.cards, dtype=np.int64).reshape(-1, 1)
+    if len(set(active.tuples)) < h or np.any((columns < 0) | (columns >= cards)):
+        raise ValueError(f"the active tuples must be distinct and within the cards {c.cards}")
     tree = build_truncated_tree(c, active)
     timings: dict[str, float] = {}
 
@@ -123,8 +128,6 @@ def prepare_inputs(
     # pass over the free variables serves them all (the cutset value wins
     # over evidence). An empty cutset assigns no array, so its one tuple's
     # results gain the axis by reshape.
-    h = active.h
-    columns = np.array(active.tuples, dtype=np.int64).reshape(h, len(c.vars)).T
     tuple_values = dict(zip(c.vars, columns))
 
     cutset_pos = {v: k for k, v in enumerate(c.vars)}

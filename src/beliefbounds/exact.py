@@ -1,13 +1,14 @@
 """Exact inference: bucket elimination and the enumeration oracle.
 
 Bucket elimination is compiled to a reusable *plan* per (network, assigned
-variables, wanted variables): the plan fixes the elimination order,
-every intermediate-table layout and the gather index maps for each
-contraction step. Executing a plan with concrete assigned values only slices
-the leaf CPTs and runs the contraction kernel per step, so repeated queries
-over the same structure (e.g. thousands of cutset tuples) avoid all symbolic
-work. A plan takes only the CPTs of the assigned and wanted variables and
-of their ancestors: every other variable is barren (its bucket sums to
+variables, wanted variables): the plan fixes the elimination order and lays
+every table of a run out in one float64 buffer, rows x cells, with the gather
+maps of the steps, grouped by dependency level and summed size. Executing it
+copies the unsliced CPTs in, fills the sliced ones with one ``take`` and runs
+one contraction kernel call per level group, so repeated queries over the
+same structure (e.g. thousands of cutset tuples) avoid all symbolic work. A
+plan takes only the CPTs of the assigned and wanted variables and of their
+ancestors: every other variable is barren (its bucket sums to
 one), so the elimination covers the ancestral part of the network alone.
 Assigned values may also be equal-length integer arrays: one execution then
 evaluates the whole batch of assignments along a leading axis, with every
@@ -58,8 +59,8 @@ INDICATED_WORK_CAP = 2**22
 #: Largest joint state space the enumeration oracle accepts.
 ORACLE_STATE_CAP = 2**20
 
-#: Largest bucket grid whose cell indices are kept for reuse between plans
-#: (at most 128 grids are kept).
+#: Largest bucket grid whose gather maps are kept for reuse between plans
+#: (at most 256 step signatures are kept).
 _CELLS_CACHED = 2**10
 
 
@@ -71,80 +72,64 @@ class ZeroEvidenceError(ValueError):
     """Posterior queries are undefined: P(e) = 0."""
 
 
-class _Step(NamedTuple):
-    factor_slots: tuple[int, ...]
-    gathers: tuple[np.ndarray, ...]  # int32, len n_out*n_sum each
-    n_out: int
-    n_sum: int
-    out_slot: int
-
-
-class _Plan(NamedTuple):
-    leaves: tuple  # flat CPT per leaf slot with nothing assigned, None where sliced
-    # (slot, table with its assigned axes first, assigned vars, number of
-    # free axes) per leaf that is sliced by the assigned values: a CPT view,
-    # or an indicator's rows (one-hot per value, then a row of ones for -1)
-    sliced: tuple
-    scalar_leaves: tuple  # (CPT table, scope) of CPTs with every axis assigned
-    steps: tuple[_Step, ...]  # forward steps, those of messages of ones left out
-    final: _Step | None  # the product of the root messages
-    # downward messages, parents before children, then one belief step per
-    # wanted variable: (variable, step)
-    down: tuple[_Step, ...]
-    beliefs: tuple[tuple[int, _Step], ...]
-    n_slots: int
+class _Layout(NamedTuple):
+    """A plan before it gets cells. Slots number the leaves, then the steps;
+    a step is (factor slots, out vars, summed vars, out slot) and comes after
+    the steps it reads."""
+    leaves: tuple  # (table with assigned axes first, assigned vars, free vars)
+    # forward steps (none for messages of ones), the product of the fully
+    # assigned CPTs, the total, downward messages (parents first), beliefs
+    steps: tuple
+    forward: int  # entries the forward steps compute for one row
+    total: int | None  # slot of P(assignments); None where it is 1
+    const: int | None  # slot of the product of the fully assigned CPTs
+    beliefs: tuple[tuple[int, int], ...]  # (wanted variable, slot)
     peak: int  # largest entry count of one step
     work: int  # entries all steps compute for one row
 
 
-def _cells(grid: tuple[int, ...]) -> np.ndarray:
-    """Row-major multi-indices of every cell of a grid, one row per axis."""
-    cells = np.indices(grid, dtype=np.int32).reshape(len(grid), math.prod(grid))
-    cells.flags.writeable = False
-    return cells
+class _Plan(NamedTuple):
+    """A layout in a float64 buffer of rows x cells: 1.0, the template, the
+    pooled leaves at the row's values, then each level group's outputs."""
+    template: np.ndarray  # 1.0, then each CPT with nothing assigned, flat
+    pool: np.ndarray  # the other leaves, flat, their assigned axes first
+    strides: np.ndarray  # assigned var x pooled leaf: pool stride of its value
+    leaf_of_cell: np.ndarray  # pooled leaf of each pooled cell
+    base: np.ndarray  # pool index of each pooled cell, less values x strides
+    bounds: np.ndarray  # per assigned var its least value (-1 if indicated), its card
+    gathers: np.ndarray  # int32 gather maps of every group, one block each
+    # (its gathers, factors x entries; n_out; n_sum; first out cell) per
+    # group of the steps of one dependency level and one n_sum
+    groups: tuple
+    n_cells: int
+    total: int  # cell of P(assignments); cell 0 where nothing multiplies
+    const: int  # cell of the fully assigned CPTs' product; cell 0 where none
+    beliefs: tuple[tuple[int, int, int], ...]  # (wanted variable, first cell, card)
+    peak: int
+    span: int  # entries per row of the largest array a run makes
+    work: int
 
 
-#: Small grids recur across plans; their cells are shared read-only.
-_small_cells = functools.lru_cache(maxsize=128)(_cells)
-
-
-def _gather_maps(
-    bucket_vars: list[tuple[int, ...]],
-    out_vars: tuple[int, ...],
-    summed: tuple[int, ...],
-    cards,
-) -> tuple[tuple[np.ndarray, ...], int, int]:
-    """Per factor, the flat index of its entry at every (out, summed) cell:
-    the cells' multi-indices dotted with the factor's strides (0 for the
-    axes it lacks)."""
-    axes = out_vars + summed
-    grid = tuple(cards[v] for v in axes)
-    n_out = math.prod(grid[: len(out_vars)])
-    n_sum = math.prod(grid[len(out_vars):])
-    pos = {v: i for i, v in enumerate(axes)}
-    strides = [[0] * len(axes) for _ in bucket_vars]
-    for row, fvars in zip(strides, bucket_vars):
+def _gather_maps(grid: tuple[int, ...], positions: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Per factor, with its axes at ``positions`` of the grid, the flat index
+    of its entry at every cell: the cells dotted with its strides."""
+    strides = np.zeros((len(positions), len(grid)), dtype=np.int32)
+    for row, axes in zip(strides, positions):
         acc = 1
-        for v in reversed(fvars):
-            row[pos[v]] = acc
-            acc *= cards[v]
-    cells = _small_cells(grid) if n_out * n_sum <= _CELLS_CACHED else _cells(grid)
-    flat = np.array(strides, dtype=np.int32).reshape(len(bucket_vars), len(axes)) @ cells
-    return tuple(flat), n_out, n_sum
+        for a in reversed(axes):
+            row[a] = acc
+            acc *= grid[a]
+    maps = strides @ np.indices(grid, dtype=np.int32).reshape(len(grid), math.prod(grid))
+    maps.flags.writeable = False
+    return maps
 
 
-def _build_plan(
-    bn: BayesianNetwork,
-    assigned: tuple[int, ...],
-    cap: int,
-    wanted: tuple[int, ...] = (),
-    indicated: tuple[int, ...] = (),
-    work_cap: int | None = None,
-) -> _Plan | int:
-    """The plan, or where a row would compute more than ``work_cap`` table
-    entries, that entry count alone: the steps are laid out as (factor
-    slots, out vars, summed vars, out slot) and get their gather maps only
-    once the whole tree is within the cap."""
+#: Steps of one signature (grid, factor axes) recur across plans; the maps of
+#: small grids are shared read-only.
+_shared_gather_maps = functools.lru_cache(maxsize=256)(_gather_maps)
+
+
+def _layout(bn: BayesianNetwork, assigned, cap: int, wanted=(), indicated=()) -> _Layout:
     assigned_set = set(assigned)
     if assigned_set & set(wanted):
         raise ValueError("wanted variables must not be assigned")
@@ -161,33 +146,26 @@ def _build_plan(
     relevant |= barren
 
     leaves = []
-    sliced = []
-    scalar_leaves = []
+    scalars = []  # slots of the CPTs with every axis assigned
     live: list[tuple[tuple[int, ...], int]] = []  # (free vars, slot)
     for cpt in bn.cpts:
         if cpt.child not in relevant:
             continue
         scope = cpt.parents + (cpt.child,)
+        fixed = tuple([v for v in scope if v in assigned_set])
+        free = tuple([v for v in scope if v not in assigned_set])
         table = np.asarray(cpt.table, dtype=np.float64)
-        free = tuple(v for v in scope if v not in assigned_set)
-        if not free:
-            scalar_leaves.append((table, scope))
-            continue
-        if len(free) == len(scope):
-            leaves.append(np.ascontiguousarray(table).reshape(-1))
+        if fixed:
+            table = table.transpose([scope.index(v) for v in fixed + free])
+        if free:
+            live.append((free, len(leaves)))
         else:
-            fixed = tuple(v for v in scope if v in assigned_set)
-            axes = sorted(range(len(scope)), key=lambda i: scope[i] not in assigned_set)
-            sliced.append((len(leaves), table.transpose(axes), fixed, len(free)))
-            leaves.append(None)
-        live.append((free, len(live)))
-    for v in indicated:
-        rows = np.vstack([np.eye(cards[v]), np.ones((1, cards[v]))])
-        sliced.append((len(leaves), rows, (v,), 1))
-        leaves.append(None)
-        live.append(((v,), len(live)))
-    slot_count = len(live)
-    scopes = {slot: fv for fv, slot in live}
+            scalars.append(len(leaves))
+        leaves.append((table, fixed, free))
+    for v in indicated:  # a row of ones (for -1), then the one-hot rows
+        live.append(((v,), len(leaves)))
+        leaves.append((np.vstack([np.ones((1, cards[v])), np.eye(cards[v])]), (v,), (v,)))
+    slot_count = len(leaves)
 
     elim = [v for v in sorted(relevant) if v not in assigned_set and v not in barren]
 
@@ -196,8 +174,7 @@ def _build_plan(
     # place in the tree but is never computed, and every step leaves it out:
     # multiplying by sums that are one up to rounding would only add rounding.
     ones: set[int] = set()
-    # (factor slots, out vars, summed vars, out slot) per forward step
-    steps: list[tuple] = []
+    steps: list[tuple] = []  # forward steps
     # (variable, separator, factor slots, out slot) per bucket, ones included
     buckets: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
     bucket_of: dict[int, int] = {}
@@ -221,7 +198,6 @@ def _build_plan(
         bucket_of[v] = len(buckets)
         buckets.append((v, out_vars, tuple(slot for _, slot in bucket), slot_count))
         live.append((out_vars, slot_count))
-        scopes[slot_count] = out_vars
         slot_count += 1
 
     for v in reversed(bn.topo_order):
@@ -231,12 +207,11 @@ def _build_plan(
         eliminate_var(v)
 
     # every variable is eliminated: what is left are the scalar root messages
-    final_factors = [slot for _, slot in live if slot not in ones]
-    final = (tuple(final_factors), (), (), -1) if final_factors else None
+    roots = [slot for _, slot in live if slot not in ones]
 
     # the bucket tree: each step's output feeds the step that takes it next,
-    # or the final product; a downward message to a bucket is its parent's
-    # other factors times the parent's own message, summed to the separator.
+    # or the total; a downward message to a bucket is its parent's other
+    # factors times the parent's own message, summed to the separator.
     # Every one is as large as the parent's forward step, every belief as
     # large as its bucket's, so the cap check above covers them all.
     parent = {}
@@ -248,14 +223,14 @@ def _build_plan(
         i = bucket_of[w]
         while i is not None and i not in needed:
             needed.add(i)
-            i = parent.get(buckets[i][3])  # None: it feeds the final product
+            i = parent.get(buckets[i][3])  # None: it feeds the total
     down: list[tuple] = []
     down_slot: dict[int, int | None] = {}
     for i in sorted(needed, reverse=True):
         _, sep, _, own = buckets[i]
         p = parent.get(own)
         if p is None:
-            factors = [s for s in final_factors if s != own]
+            factors = [s for s in roots if s != own]
             bucket_vars: tuple[int, ...] = ()
         else:
             pv, psep, pslots, _ = buckets[p]
@@ -271,7 +246,6 @@ def _build_plan(
             continue
         down.append((tuple(factors), sep, summed, slot_count))
         down_slot[i] = slot_count
-        scopes[slot_count] = sep
         slot_count += 1
     beliefs = []
     for w in wanted:
@@ -279,28 +253,121 @@ def _build_plan(
         factors = [s for s in buckets[i][2] if s not in ones]
         if down_slot[i] is not None:
             factors.append(down_slot[i])
-        beliefs.append((w, (tuple(factors), (w,), buckets[i][1], -1)))
-    layouts = steps + down + [s for _, s in beliefs] + ([final] if final else [])
-    work = sum(math.prod([cards[u] for u in s[1] + s[2]]) for s in layouts)
-    if work_cap is not None and work > work_cap:
-        return work
+        beliefs.append((tuple(factors), (w,), buckets[i][1], slot_count))
+        slot_count += 1
 
-    def gathered(layout) -> _Step:
-        factors, out_vars, summed, out_slot = layout
-        gathers, n_out, n_sum = _gather_maps([scopes[f] for f in factors], out_vars, summed, cards)
-        return _Step(factors, gathers, n_out, n_sum, out_slot)
+    def entries(layouts):
+        return sum(math.prod([cards[u] for u in s[1] + s[2]]) for s in layouts)
 
-    return _Plan(
+    forward = entries(steps)
+    work = forward + entries(down + beliefs) + bool(roots)
+    # the product of the fully assigned CPTs multiplies the total; a product
+    # of one factor is that factor and takes no step
+    const = scalars[0] if len(scalars) == 1 else slot_count if scalars else None
+    if len(scalars) > 1:
+        steps.append((tuple(scalars), (), (), const))
+    roots += [const] if scalars else []
+    total = roots[0] if len(roots) == 1 else slot_count + 1 if roots else None
+    if len(roots) > 1:
+        steps.append((tuple(roots), (), (), total))
+    return _Layout(
         leaves=tuple(leaves),
-        sliced=tuple(sliced),
-        scalar_leaves=tuple(scalar_leaves),
-        steps=tuple(map(gathered, steps)),
-        final=gathered(final) if final else None,
-        down=tuple(map(gathered, down)),
-        beliefs=tuple((w, gathered(s)) for w, s in beliefs),
-        n_slots=slot_count,
+        steps=tuple(steps + down + beliefs),
+        forward=forward,
+        total=total,
+        const=const,
+        beliefs=tuple((w, s[3]) for w, s in zip(wanted, beliefs)),
         peak=peak,
         work=work,
+    )
+
+
+def _build_plan(
+    bn: BayesianNetwork,
+    assigned: tuple[int, ...],
+    cap: int,
+    wanted: tuple[int, ...] = (),
+    indicated: tuple[int, ...] = (),
+    work_cap: int | None = None,
+) -> _Plan | int:
+    """The plan, or where a row would compute more than ``work_cap`` table
+    entries, that entry count alone: the cells and gathers are laid out
+    only once the whole tree is within the cap."""
+    layout = _layout(bn, assigned, cap, wanted, indicated)
+    if work_cap is not None and layout.work > work_cap:
+        return layout.work
+    cards = bn.cards
+    column = {v: j for j, v in enumerate(assigned + indicated)}
+    scope = {slot: free for slot, (_, _, free) in enumerate(layout.leaves)}
+    level = dict.fromkeys(scope, 0)
+    cell, at = {}, 1  # the first cell of each slot; cell 0 holds 1.0
+    template, pooled = [np.ones(1)], []
+    for slot, (table, fixed, _) in enumerate(layout.leaves):
+        if fixed:
+            pooled.append(slot)
+        else:
+            cell[slot], at = at, at + table.size
+            template.append(table)
+    strides = [[0] * len(pooled) for _ in column]
+    leaf_of_cell, base, offset = [], [], 0
+    for j, slot in enumerate(pooled):
+        table, fixed, _ = layout.leaves[slot]
+        start = offset
+        for k, v in enumerate(fixed):
+            strides[column[v]][j] = stride = math.prod(table.shape[k + 1:])
+            if v in indicated:  # -1 reads the row of ones before the one-hot rows
+                start += stride
+        size = math.prod(table.shape[len(fixed):])
+        leaf_of_cell += [j] * size
+        base += range(start, start + size)
+        cell[slot], at, offset = at, at + size, offset + table.size
+
+    groups: dict[tuple[int, int], list] = {}
+    for step in layout.steps:
+        factors, out_vars, summed, out = step
+        level[out] = 1 + max([level[f] for f in factors])
+        scope[out] = out_vars
+        groups.setdefault((level[out], math.prod([cards[v] for v in summed])), []).append(step)
+    # every group's gathers, factors x entries, one block after another:
+    # the map rows in that order, each with its factor's first cell added
+    rows, laid, offsets = [], [], []
+    for (_, n_sum), members in sorted(groups.items()):
+        # a step with fewer factors than the group reads cell 0, a scalar 1.0
+        n_fac = max([len(factors) for factors, _, _, _ in members])
+        maps, cells, start = [], [], at
+        for factors, out_vars, summed, out in members:
+            axes, pad = out_vars + summed, n_fac - len(factors)
+            grid = tuple([cards[v] for v in axes])
+            cell[out], at = at, at + math.prod(grid[: len(out_vars)])
+            positions = tuple([tuple([axes.index(v) for v in scope[f]]) for f in factors])
+            positions += ((),) * pad
+            shared = math.prod(grid) <= _CELLS_CACHED
+            maps.append((_shared_gather_maps if shared else _gather_maps)(grid, positions))
+            cells.append([cell[f] for f in factors] + [0] * pad)
+        laid.append((n_fac, at - start, n_sum, start))
+        rows += [row for factor_rows in zip(*maps) for row in factor_rows]
+        offsets += [c for factor_cells in zip(*cells) for c in factor_cells]
+    gathers = np.concatenate([np.empty(0, dtype=np.int32)] + rows)
+    gathers += np.repeat(np.array(offsets, dtype=np.int32), [len(row) for row in rows])
+    first = np.cumsum([0] + [n_fac * n_out * n_sum for n_fac, n_out, n_sum, _ in laid])
+    laid = [(gathers[a:b].reshape(n_fac, -1), n_out, n_sum, start)
+            for a, b, (n_fac, n_out, n_sum, start) in zip(first, first[1:], laid)]
+    return _Plan(
+        template=np.concatenate(template, axis=None),
+        pool=np.concatenate([np.empty(0)] + [layout.leaves[s][0] for s in pooled], axis=None),
+        strides=np.array(strides, dtype=np.intp).reshape(len(column), len(pooled)),
+        leaf_of_cell=np.array(leaf_of_cell, dtype=np.intp),
+        base=np.array(base, dtype=np.intp),
+        bounds=np.array([[0] * len(assigned) + [-1] * len(indicated), [cards[v] for v in column]]),
+        gathers=gathers,
+        groups=tuple(laid),
+        n_cells=at,
+        total=0 if layout.total is None else cell[layout.total],
+        const=0 if layout.const is None else cell[layout.const],
+        beliefs=tuple((w, cell[slot], cards[w]) for w, slot in layout.beliefs),
+        peak=layout.peak,
+        span=max([at] + [g.shape[1] for g, _, _, _ in laid]),
+        work=layout.work,
     )
 
 
@@ -315,13 +382,7 @@ def _plan_for(
     plan = bn._cache.get(key)
     if plan is None or isinstance(plan, int) and plan <= work_cap:
         plan = _build_plan(bn, assigned_vars, cap, wanted, indicated, work_cap)
-        arrays = []
-        if not isinstance(plan, int):
-            steps = plan.steps + ((plan.final,) if plan.final else ()) + plan.down
-            steps += tuple(step for _, step in plan.beliefs)
-            arrays = [g for step in steps for g in step.gathers]
-            arrays += [t for t in plan.leaves if t is not None]
-            arrays += [t for _, t, _, _ in plan.sliced] + [t for t, _ in plan.scalar_leaves]
+        arrays = [] if isinstance(plan, int) else [a for a in plan if isinstance(a, np.ndarray)]
         bn._cache.put(key, plan, held_bytes(arrays))
     work = plan if isinstance(plan, int) else plan.work
     if work_cap is not None and work > work_cap:
@@ -331,14 +392,10 @@ def _plan_for(
 
 def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
     """(total, beliefs) of one plan over the assignments, in chunks whose
-    every step stays within the table cap; with indicated variables, the
+    every array stays within the table cap; with indicated variables, the
     plan's work over all rows stays within ``INDICATED_WORK_CAP``."""
     assign = dict(assignments)
     indicated = tuple(sorted(set(indicated)))
-    for v in indicated:
-        values = np.asarray(assign.get(v, bn.cards[v]))
-        if np.any((values < -1) | (values >= bn.cards[v])):
-            raise ValueError(f"indicated variable {v} needs values, -1 where it is free")
     batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
     lengths = {assign[v].shape for v in batched}
     if len(lengths) > 1 or any(len(shape) > 1 for shape in lengths):
@@ -347,25 +404,37 @@ def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
     sliced = tuple(sorted(v for v in assign if v not in indicated))
     row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
     plan = _plan_for(bn, sliced, cap, wanted, indicated, row_cap)
-    chunk = max(1, cap // plan.peak)
-    if n <= chunk:
-        return _execute(bn, plan, assign)
-    parts = [
-        _execute(bn, plan, {**assign, **{v: assign[v][i:i + chunk] for v in batched}})
-        for i in range(0, n, chunk)
-    ]
-    return (
-        np.concatenate([out for out, _ in parts]),
-        {v: np.concatenate([b[v] for _, b in parts]) for v in wanted},
-    )
+    # one row per assignment, one column per assigned then indicated variable
+    # (an indicated one left out is out of range)
+    columns = [assign[v] for v in sliced] + [assign.get(v, bn.cards[v]) for v in indicated]
+    if columns and np.result_type(*columns).kind not in "iu":
+        raise ValueError("assigned values must be integers")
+    values = np.empty((n if batched else 1, len(columns)), dtype=np.intp)
+    for j, x in enumerate(columns):
+        values[:, j] = x
+    bad = (values < plan.bounds[0]) | (values >= plan.bounds[1])
+    if bad.any():
+        v = (sliced + indicated)[int(bad.any(axis=0).argmax())]
+        raise ValueError(f"indicated variable {v} needs values, -1 where it is free"
+                         if v in indicated else f"variable {v} takes values 0..{bn.cards[v] - 1}")
+    chunk = max(1, cap // plan.span)
+    if len(values) <= chunk:
+        total, beliefs = _execute(plan, values)
+    else:
+        parts = [_execute(plan, values[i:i + chunk]) for i in range(0, len(values), chunk)]
+        total = np.concatenate([out for out, _ in parts])
+        beliefs = {v: np.concatenate([b[v] for _, b in parts]) for v in wanted}
+    if batched:
+        return total, beliefs
+    return total.reshape(()), {v: b[0] for v, b in beliefs.items()}
 
 
 def eliminate(bn: BayesianNetwork, assignments) -> np.ndarray:
     """P(assignments) by sum-product elimination of every variable.
 
-    ``assignments`` is a mapping var -> value absorbed by CPT slicing. Values
-    may be ints or equal-length 1-D integer arrays; with arrays the result
-    has one row per assignment, row i the value of the i-th assignment.
+    ``assignments`` maps var -> value in 0..card-1, absorbed by CPT slicing
+    (any other value raises ``ValueError``). Values may be ints or equal-length
+    1-D integer arrays; with arrays the result has one row per assignment.
     """
     return _run(bn, assignments, (), DEFAULT_TABLE_CAP)[0]
 
@@ -387,41 +456,22 @@ def eliminate_marginals(
     return _run(bn, assignments, tuple(sorted(set(wanted))), DEFAULT_TABLE_CAP, indicated)
 
 
-def _execute(bn: BayesianNetwork, plan: _Plan, assign: dict):
+def _execute(plan: _Plan, values: np.ndarray):
+    """(total, beliefs) with one row per row of ``values``."""
     # looked up per call, not bound at import, so that a stand-in (such as
     # the benchmark's counting proxy) swapped into kernels.active sees every
     # contraction
     contract = kernels.active.contract_bucket
-    slots = list(plan.leaves) + [None] * (plan.n_slots - len(plan.leaves))
-    # assigned axes come first, so batched values put the batch axis in front
-    for i, table, fixed, n_free in plan.sliced:
-        t = table[tuple(assign[v] for v in fixed)]
-        slots[i] = t.reshape(t.shape[: t.ndim - n_free] + (-1,))
-    const = 1.0
-    for table, scope in plan.scalar_leaves:
-        const = const * table[tuple(assign[v] for v in scope)]
-
-    # the downward messages read forward messages only, never the final product
-    for step in plan.steps + plan.down:
-        tables = [slots[s] for s in step.factor_slots]
-        slots[step.out_slot] = contract(tables, step.gathers, step.n_out, step.n_sum)
-
-    if plan.final is None:
-        out = np.array(1.0)
-    else:
-        tables = [slots[s] for s in plan.final.factor_slots]
-        flat = contract(tables, plan.final.gathers, 1, 1)
-        out = flat.reshape(flat.shape[:-1])
-    if plan.scalar_leaves:  # a batch of constants multiplies row by row
-        out = out * const
-    beliefs = {}
-    for v, step in plan.beliefs:
-        tables = [slots[s] for s in step.factor_slots]
-        table = contract(tables, step.gathers, step.n_out, step.n_sum)
-        if plan.scalar_leaves:
-            table = table * np.reshape(const, np.shape(const) + (1,))
-        beliefs[v] = table
-    return out, beliefs
+    buf = np.empty((len(values), plan.n_cells))
+    n_template = len(plan.template)
+    buf[:, :n_template] = plan.template
+    pooled = (values @ plan.strides)[:, plan.leaf_of_cell] + plan.base
+    buf[:, n_template:n_template + len(plan.base)] = plan.pool[pooled]
+    for gathers, n_out, n_sum, start in plan.groups:
+        contract([buf] * len(gathers), gathers, n_out, n_sum, out=buf[:, start:start + n_out])
+    const = buf[:, plan.const, None]  # x * 1.0 is x: cell 0 where nothing is fully assigned
+    beliefs = {v: buf[:, at:at + card] * const for v, at, card in plan.beliefs}
+    return buf[:, plan.total].copy(), beliefs
 
 
 # ---------------------------------------------------------------------------

@@ -85,42 +85,41 @@ def summarize(
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
+def _render(obj, indent: int, out: list[str]) -> None:
+    """Append the canonical text of ``obj`` to ``out``."""
+    if obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, float):
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, int):
+        out.append(repr(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
         if not obj:
-            return "{}"
-        items = sorted((str(k), v) for k, v in obj.items())
-        inner = ",\n".join(
-            f'{pad}  {_render(k, 0)}: {_render(v, indent + 1)}' for k, v in items
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    try:
-        return _render(float(obj), indent)  # numpy scalars
-    except (TypeError, ValueError):
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+            out.append("{}" if keyed else "[]")
+            return
+        pad = "\n" + "  " * indent
+        opener = "{" if keyed else "["
+        for k, v in sorted((str(k), v) for k, v in obj.items()) if keyed else enumerate(obj):
+            out.append(f"{opener}{pad}  {json.dumps(k)}: " if keyed else f"{opener}{pad}  ")
+            _render(v, indent + 1, out)
+            opener = ","
+        out.append(pad + ("}" if keyed else "]"))
+    else:
+        try:
+            _render(float(obj), indent, out)  # numpy scalars
+        except (TypeError, ValueError):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON: sorted keys, '.17g' floats, stable layout."""
-    return _render(obj, 0) + "\n"
+    out: list[str] = []
+    _render(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def report_payload(

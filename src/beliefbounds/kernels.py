@@ -8,6 +8,9 @@ n_out*n_sum, ``contract_bucket`` computes
 i.e. an elementwise product of the gathered tables followed by a sum over the
 trailing n_sum block. Tables are gathered along their last axis; leading axes
 (a batch of assignments) broadcast, so a table without them serves every row.
+The tables may all be one buffer, with the maps of many steps side by side
+and the sums written back into it through ``out``: products and sums keep
+numpy's order, so a step gives the same floats alone or next to others.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ import numpy as np
 COMPILED = False
 
 
-def contract_bucket(tables, gathers, n_out: int, n_sum: int) -> np.ndarray:
+def contract_bucket(tables, gathers, n_out: int, n_sum: int, out=None) -> np.ndarray:
     # take copies, so the result never aliases an input table
     prod = tables[0].take(gathers[0], axis=-1)
     for t, g in zip(tables[1:], gathers[1:]):
-        prod = prod * t.take(g, axis=-1)
-    lead = prod.shape[:-1]
-    if n_sum == 1:
-        return prod.reshape(lead + (n_out,))
-    return prod.reshape(lead + (n_out, n_sum)).sum(-1)
+        part = t.take(g, axis=-1)
+        prod = np.multiply(prod, part, out=prod if prod.ndim >= part.ndim else None)
+    if n_sum >= 8:  # numpy sums a run of 8 or more in pairs
+        return prod.reshape(prod.shape[:-1] + (n_out, n_sum)).sum(-1, out=out)
+    # a shorter run it sums from 0.0 left to right, as these adds do (a run of
+    # one is not summed), with no reduction's cost per output entry
+    out = np.add(prod[..., ::n_sum], 0.0, out=out) if n_sum > 1 else np.positive(prod, out=out)
+    for s in range(1, n_sum):
+        np.add(out, prod[..., s::n_sum], out=out)
+    return out
 
 
 #: The namespace ``exact.eliminate`` calls the kernel through.

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from beliefbounds import exact as exact_mod
+from beliefbounds import kernels
 from beliefbounds import tuples as tuples_mod
 from beliefbounds.bounder import (
     DEFAULT_K,
@@ -474,6 +477,83 @@ def reference_induced_width(scopes, order) -> int:
         for u in nbrs:
             adj[u].discard(v)
     return width
+
+
+def reference_run(bn: BayesianNetwork, assignments, wanted=(), indicated=()):
+    """(total, beliefs) of the exact layer's layout run one step and one
+    kernel call at a time: every leaf sliced by numpy indexing (an indicated
+    -1 reads its row of ones, the leaf's first), every step gathered from
+    its own tables by maps built from their scopes, the product of the fully
+    assigned CPTs multiplied into each belief after its sum. The level
+    executor, ``exact._run``, must give the same floats bit for bit, in the
+    same shapes."""
+    assign = dict(assignments)
+    indicated = tuple(sorted(set(indicated)))
+    sliced = tuple(sorted(v for v in assign if v not in indicated))
+    wanted = tuple(sorted(set(wanted)))
+    layout = exact_mod._layout(bn, sliced, exact_mod.DEFAULT_TABLE_CAP, wanted, indicated)
+    slots, scopes = {}, {}
+    for slot, (table, fixed, free) in enumerate(layout.leaves):
+        # assigned axes come first, so batched values put the batch axis in front
+        t = table[tuple(np.asarray(assign[v]) + (v in indicated) for v in fixed)]
+        slots[slot] = t.reshape(t.shape[: t.ndim - len(free)] + (-1,))
+        scopes[slot] = free
+    for factors, out_vars, summed, out in layout.steps:
+        axes = out_vars + summed
+        grid = [bn.cards[v] for v in axes]
+        cells = np.indices(grid).reshape(len(axes), math.prod(grid))
+        gathers = []
+        for f in factors:
+            flat = np.zeros(cells.shape[1], dtype=np.intp)
+            for v in scopes[f]:
+                flat = flat * bn.cards[v] + cells[axes.index(v)]
+            gathers.append(flat)
+        n_out, n_sum = math.prod(grid[: len(out_vars)]), math.prod(grid[len(out_vars):])
+        tables = [slots[f] for f in factors]
+        slots[out] = kernels.contract_bucket(tables, gathers, n_out, n_sum)
+        scopes[out] = out_vars
+    total = np.array(1.0) if layout.total is None else slots[layout.total][..., 0]
+    beliefs = {}
+    for v, slot in layout.beliefs:
+        beliefs[v] = slots[slot] if layout.const is None else slots[slot] * slots[layout.const]
+    return total, beliefs
+
+
+def reference_render(obj, indent: int = 0) -> str:
+    """Canonical JSON built by string concatenation per level, without the
+    final newline: the text ``harness.dumps_canonical`` must give byte for
+    byte."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted((str(k), v) for k, v in obj.items())
+        inner = ",\n".join(
+            f'{pad}  {reference_render(k, 0)}: {reference_render(v, indent + 1)}'
+            for k, v in items
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {reference_render(v, indent + 1)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    try:
+        return reference_render(float(obj), indent)  # numpy scalars
+    except (TypeError, ValueError):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def merge_assignment(e, a, extra=None):

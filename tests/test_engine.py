@@ -363,6 +363,21 @@ class TestPrepareInputs:
             with pytest.raises(ValueError, match="another network, evidence or cutset"):
                 prepare_inputs(bn, e, active, bounder)
 
+    def test_hand_built_tuples_must_be_distinct_and_inside_the_cards(self):
+        # read by numpy, -1 would be the last value and give an unsound point
+        # P(e); 3 and 5 lie past the end
+        bn = random_network(np.random.default_rng(3), n=6)
+        e = {5: 0}
+        cut = Cutset((1,)).with_cards(bn)
+        assert cut.cards == (3,)
+        for tuples in (((-1,),), ((3,),), ((5,),), ((2,), (0,), (2,))):
+            active = ActiveTupleSet(cut, tuples, np.full(len(tuples), 0.05))
+            with pytest.raises(ValueError, match="active tuple"):
+                prepare_inputs(bn, e, active, make_bounder("bf", bn, e, cut.vars))
+        pe = np.array([conditioned_joint(bn, e, {1: x}) for x in (2, 0)])
+        good = ActiveTupleSet(cut, ((2,), (0,)), pe)
+        prepare_inputs(bn, e, good, make_bounder("bf", bn, e, cut.vars))
+
     def test_leaves_the_active_set_unchanged(self):
         bn = _diamond()
         e = {3: 1}

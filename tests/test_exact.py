@@ -19,8 +19,11 @@ from beliefbounds.exact import (
     eliminate,
     eliminate_marginals,
     enumerate_oracle,
+    _gather_maps,
+    _layout,
     _plan_for,
     _run,
+    _shared_gather_maps,
 )
 from beliefbounds.model import BayesianNetwork, Cpt, Variable
 
@@ -32,6 +35,7 @@ from conftest import (
     fraction_event_mass,
     random_evidence,
     random_network,
+    reference_run,
 )
 
 
@@ -96,8 +100,8 @@ class TestBatchedEliminate:
             bn, e, arrays = self._case(seed, 7, seed % 2 == 0)
             assigned = {**e, **arrays}
             want = eliminate(bn, assigned)
-            peak = _plan_for(bn, tuple(sorted(assigned)), DEFAULT_TABLE_CAP).peak
-            for cap in (peak, 2 * peak + 1):  # chunks of one row, of two rows
+            span = _plan_for(bn, tuple(sorted(assigned)), DEFAULT_TABLE_CAP).span
+            for cap in (span, 2 * span + 1):  # chunks of one row, of two rows
                 assert np.array_equal(_run(bn, assigned, (), cap)[0], want)
 
     def test_unequal_batch_lengths_rejected(self, rng):
@@ -164,12 +168,7 @@ class TestAncestralPruning:
             n_assigned = int(rng.integers(0, 3))
             assigned = tuple(sorted(order[:n_assigned]))
             wanted = tuple(order[n_assigned:n_assigned + int(rng.integers(0, 2))])
-            plan = _plan_for(bn, assigned, DEFAULT_TABLE_CAP, wanted)
-            taken = (
-                [t for t in plan.leaves if t is not None]
-                + [t for _, t, _, _ in plan.sliced]
-                + [t for t, _ in plan.scalar_leaves]
-            )
+            taken = [t for t, _, _ in _layout(bn, assigned, DEFAULT_TABLE_CAP, wanted).leaves]
             held = sorted(
                 v for v in range(bn.n)
                 if any(np.shares_memory(t, bn.cpts[v].table) for t in taken)
@@ -219,11 +218,11 @@ class TestBucketTree:
     ):
         bn, e, arrays, wanted, indicated = self._case(seed, batch, barren, zero_rows, indicate)
         assigned = {**e, **arrays}
-        if chunked:  # a cap of one step's peak makes every row its own chunk
+        if chunked:  # a cap of one row's largest array makes every row its own chunk
             key = tuple(sorted(wanted))
             sliced = tuple(sorted(v for v in assigned if v not in indicated))
             ind = tuple(sorted(indicated))
-            cap = _plan_for(bn, sliced, DEFAULT_TABLE_CAP, key, ind).peak
+            cap = _plan_for(bn, sliced, DEFAULT_TABLE_CAP, key, ind).span
             total, tables = _run(bn, assigned, key, cap, ind)
         else:
             total, tables = eliminate_marginals(bn, assigned, wanted, indicated)
@@ -281,16 +280,19 @@ class TestBucketTree:
 
     def test_barren_buckets_are_never_computed(self, rng):
         # every bucket of a variable no assigned one descends from sums to
-        # one: the forward steps are as many as those of the prior plan, and
-        # a total over nothing assigned is exactly 1
+        # one: the forward steps compute as many entries as those of the
+        # prior plan, and a total over nothing assigned is exactly 1
+        computed = 0
         for _ in range(30):
             bn = random_network(rng, n=int(rng.integers(2, 9)))
             e = random_evidence(rng, bn)
             wanted = [v for v in range(bn.n) if v not in e]
-            tree = _plan_for(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP, tuple(wanted))
-            prior = _plan_for(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP)
-            assert len(tree.steps) == len(prior.steps)
+            tree = _layout(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP, tuple(wanted))
+            prior = _layout(bn, tuple(sorted(e)), DEFAULT_TABLE_CAP)
+            assert tree.forward == prior.forward
+            computed += prior.forward > 0
             assert eliminate_marginals(bn, {}, range(bn.n))[0] == 1.0
+        assert computed >= 5
 
     def test_wanted_tables_match_per_value_masses(self, rng):
         for _ in range(15):
@@ -314,6 +316,86 @@ class TestBucketTree:
         for assigned in ({}, {0: np.array([1, -2])}, {0: bn.cards[0]}):
             with pytest.raises(ValueError, match="indicated variable 0 needs values"):
                 eliminate_marginals(bn, assigned, (1,), indicated=(0,))
+
+
+class TestLevelExecutor:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([0, 1, 3]),
+        barren=st.booleans(),
+        zero_rows=st.booleans(),
+        indicate=st.booleans(),
+        chunked=st.booleans(),
+        full=st.booleans(),
+    )
+    def test_equals_the_per_step_reference_bit_for_bit(
+        self, seed, batch, barren, zero_rows, indicate, chunked, full
+    ):
+        # unbatched (batch 0) and batched rows, int evidence next to arrays,
+        # indicated variables free (-1) in some rows, wanted variables; with
+        # ``full`` every variable neither wanted nor batched is assigned, so
+        # every CPT without a wanted variable has all its axes assigned
+        bn, e, arrays, wanted, indicated = TestBucketTree._case(
+            seed, batch, barren, zero_rows, indicate
+        )
+        if full:
+            rng = np.random.default_rng(seed)
+            e.update({
+                v: int(rng.integers(bn.cards[v]))
+                for v in range(bn.n) if v not in arrays and v not in wanted
+            })
+        assigned = {**e, **arrays}
+        wanted, indicated = tuple(sorted(set(wanted))), tuple(sorted(indicated))
+        cap = DEFAULT_TABLE_CAP
+        if chunked:  # every row its own chunk
+            sliced = tuple(sorted(v for v in assigned if v not in indicated))
+            cap = _plan_for(bn, sliced, cap, wanted, indicated).span
+        total, beliefs = _run(bn, assigned, wanted, cap, indicated)
+        want_total, want_beliefs = reference_run(bn, assigned, wanted, indicated)
+        assert np.shape(total) == np.shape(want_total)
+        assert np.array_equal(total, want_total)
+        assert sorted(beliefs) == sorted(want_beliefs)
+        for v, table in want_beliefs.items():
+            assert beliefs[v].shape == table.shape
+            assert np.array_equal(beliefs[v], table)
+
+    def test_shared_gather_maps_equal_fresh_ones(self, rng):
+        for _ in range(200):
+            grid = tuple(int(c) for c in rng.integers(1, 4, size=int(rng.integers(1, 5))))
+            positions = tuple(
+                tuple(int(a) for a in rng.permutation(len(grid))[: int(rng.integers(0, len(grid) + 1))])
+                for _ in range(int(rng.integers(1, 4)))
+            )
+            shared = _shared_gather_maps(grid, positions)
+            assert _shared_gather_maps(grid, positions) is shared
+            assert not shared.flags.writeable
+            assert np.array_equal(shared, _gather_maps(grid, positions))
+            cells = np.indices(grid).reshape(len(grid), -1)
+            for row, axes in zip(shared, positions):
+                sub = tuple(cells[a] for a in axes)
+                want = np.ravel_multi_index(sub, [grid[a] for a in axes]) if axes else 0
+                assert np.array_equal(row, np.broadcast_to(want, row.shape))
+
+
+class TestAssignedValues:
+    @pytest.mark.parametrize("offset", [-1, 0, 2])  # -1, the card, the card + 2
+    def test_values_outside_the_cards_rejected(self, offset):
+        bn = random_network(np.random.default_rng(3), n=6)
+        bad = -1 if offset < 0 else bn.cards[1] + offset
+        for value in (bad, np.array([0, bad, 1])):
+            with pytest.raises(ValueError, match="variable 1 takes values"):
+                eliminate(bn, {5: 0, 1: value})
+            with pytest.raises(ValueError, match="variable 1 takes values"):
+                eliminate_marginals(bn, {5: 0, 1: value}, (0,))
+        last = bn.cards[1] - 1
+        assert eliminate(bn, {5: 0, 1: np.array([0, last])}).shape == (2,)
+
+    def test_values_must_be_integers(self):
+        bn = random_network(np.random.default_rng(3), n=6)
+        for value in (1.5, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="must be integers"):
+                eliminate(bn, {5: 0, 1: value})
 
 
 class TestMarginals:
@@ -419,13 +501,43 @@ class TestKernelSeam:
                 got[1], kernels.contract_bucket(flipped, gathers, n_out, n_sum)
             )
 
+    def test_contract_bucket_sums_in_numpys_order(self, rng):
+        # any floats, negative zeros among them, with and without a batch axis
+        # on the first table, into a fresh array or a strided ``out``: the
+        # floats of a plain product, reshaped and summed, bit for bit
+        def plain(tables, gathers, n_out, n_sum):
+            prod = tables[0].take(gathers[0], axis=-1)
+            for t, g in zip(tables[1:], gathers[1:]):
+                prod = prod * t.take(g, axis=-1)
+            if n_sum == 1:
+                return prod.reshape(prod.shape[:-1] + (n_out,))
+            return prod.reshape(prod.shape[:-1] + (n_out, n_sum)).sum(-1)
+
+        for n_sum in range(1, 13):
+            for lead, zeros in (((), False), ((3,), False), ((), True)):
+                n_out = int(rng.integers(1, 5))
+                tables = [rng.standard_normal(lead + (7,))] + [rng.standard_normal(7) for _ in range(2)]
+                for t in tables:
+                    t[..., :3] = [-0.0, 0.0, -0.0]
+                if zeros:  # every product -0.0: a sum of them is 0.0
+                    tables = [np.full(7, -0.0)] + [np.abs(t) for t in tables[1:]]
+                gathers = [rng.integers(0, 7, n_out * n_sum) for _ in tables]
+                want = plain(tables, gathers, n_out, n_sum)
+                into = np.empty(want.shape[:-1] + (n_out + 2,))[..., 1:-1]
+                for got in (
+                    kernels.contract_bucket(tables, gathers, n_out, n_sum),
+                    kernels.contract_bucket(tables, gathers, n_out, n_sum, out=into),
+                ):
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_eliminate_contracts_only_through_the_active_kernel(self, rng, monkeypatch):
         real = kernels.contract_bucket
         calls = []
 
-        def counting(tables, gathers, n_out, n_sum):
+        def counting(tables, gathers, n_out, n_sum, out=None):
             calls.append((n_out, n_sum))
-            return real(tables, gathers, n_out, n_sum)
+            return real(tables, gathers, n_out, n_sum, out=out)
 
         def bypass(*args):
             raise AssertionError("contraction bypassed kernels.active")
@@ -445,6 +557,7 @@ class TestKernelSeam:
             assert got[0] == want[0]
             for v in wanted:
                 np.testing.assert_array_equal(got[1][v], want[1][v])
-            steps = len(plan.steps) + len(plan.down) + len(plan.beliefs)
-            assert len(calls) == steps + (plan.final is not None)
+            # one call per level group; the total and the beliefs are steps
+            # of their levels
+            assert calls == [(n_out, n_sum) for _, n_out, n_sum, _ in plan.groups]
             assert calls

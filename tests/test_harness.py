@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beliefbounds
 from beliefbounds.cli import main as cli_main
@@ -29,7 +31,28 @@ from beliefbounds.harness import (
 )
 from beliefbounds.model import parse_network
 
-from conftest import grid_network, network_text, random_network
+from conftest import grid_network, network_text, random_network, reference_render
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(),
+    st.text(max_size=5),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        # int keys are sorted as strings, next to str keys
+        st.dictionaries(st.integers(-20, 20) | st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
 
 DIAMOND_SRC = """BAYES
 4
@@ -162,6 +185,17 @@ class TestCanonicalJson:
         assert dumps_canonical(np.int64(3)) == "3\n"
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_canonical(object())
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_values)
+    def test_same_text_as_the_concatenating_renderer(self, value):
+        try:
+            want = reference_render(value) + "\n"
+        except TypeError:  # keys 1 and "1" collide and their values do not order
+            with pytest.raises(TypeError):
+                dumps_canonical(value)
+            return
+        assert dumps_canonical(value) == want
 
     def test_is_valid_json(self):
         bn = parse_network(DIAMOND_SRC)
