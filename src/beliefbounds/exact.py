@@ -80,11 +80,10 @@ class _Layout(NamedTuple):
     # forward steps (none for messages of ones), the product of the fully
     # assigned CPTs, the total, downward messages (parents first), beliefs
     steps: tuple
-    forward: int  # entries the forward steps compute for one row
+    forward: int  # entries the forward steps compute for one row (read by tests)
     total: int | None  # slot of P(assignments); None where it is 1
     const: int | None  # slot of the product of the fully assigned CPTs
     beliefs: tuple[tuple[int, int], ...]  # (wanted variable, slot)
-    peak: int  # largest entry count of one step
     work: int  # entries all steps compute for one row
 
 
@@ -105,7 +104,6 @@ class _Plan(NamedTuple):
     total: int  # cell of P(assignments); cell 0 where nothing multiplies
     const: int  # cell of the fully assigned CPTs' product; cell 0 where none
     beliefs: tuple[tuple[int, int, int], ...]  # (wanted variable, first cell, card)
-    peak: int
     span: int  # entries per row of the largest array a run makes
     work: int
 
@@ -178,10 +176,9 @@ def _layout(bn: BayesianNetwork, assigned, cap: int, wanted=(), indicated=()) ->
     # (variable, separator, factor slots, out slot) per bucket, ones included
     buckets: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = []
     bucket_of: dict[int, int] = {}
-    peak = 1
 
     def eliminate_var(v):
-        nonlocal slot_count, peak
+        nonlocal slot_count
         bucket = [f for f in live if v in f[0]]
         if not bucket:
             return
@@ -190,7 +187,6 @@ def _layout(bn: BayesianNetwork, assigned, cap: int, wanted=(), indicated=()) ->
         size = math.prod([cards[u] for u in out_vars]) * cards[v]
         if size > cap:
             raise ScopeCapError(f"bucket for variable {v} needs {size} entries (cap {cap})")
-        peak = max(peak, size)
         if v in barren:
             ones.add(slot_count)
         else:
@@ -277,7 +273,6 @@ def _layout(bn: BayesianNetwork, assigned, cap: int, wanted=(), indicated=()) ->
         total=total,
         const=const,
         beliefs=tuple((w, s[3]) for w, s in zip(wanted, beliefs)),
-        peak=peak,
         work=work,
     )
 
@@ -365,7 +360,6 @@ def _build_plan(
         total=0 if layout.total is None else cell[layout.total],
         const=0 if layout.const is None else cell[layout.const],
         beliefs=tuple((w, cell[slot], cards[w]) for w, slot in layout.beliefs),
-        peak=layout.peak,
         span=max([at] + [g.shape[1] for g, _, _, _ in laid]),
         work=layout.work,
     )

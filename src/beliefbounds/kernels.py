@@ -29,14 +29,9 @@ def contract_bucket(tables, gathers, n_out: int, n_sum: int, out=None) -> np.nda
     for t, g in zip(tables[1:], gathers[1:]):
         part = t.take(g, axis=-1)
         prod = np.multiply(prod, part, out=prod if prod.ndim >= part.ndim else None)
-    if n_sum >= 8:  # numpy sums a run of 8 or more in pairs
-        return prod.reshape(prod.shape[:-1] + (n_out, n_sum)).sum(-1, out=out)
-    # a shorter run it sums from 0.0 left to right, as these adds do (a run of
-    # one is not summed), with no reduction's cost per output entry
-    out = np.add(prod[..., ::n_sum], 0.0, out=out) if n_sum > 1 else np.positive(prod, out=out)
-    for s in range(1, n_sum):
-        np.add(out, prod[..., s::n_sum], out=out)
-    return out
+    if n_sum == 1:
+        return np.positive(prod, out=out)
+    return prod.reshape(prod.shape[:-1] + (n_out, n_sum)).sum(-1, out=out)
 
 
 #: The namespace ``exact.eliminate`` calls the kernel through.

@@ -519,7 +519,7 @@ class TestKernelSeam:
                 tables = [rng.standard_normal(lead + (7,))] + [rng.standard_normal(7) for _ in range(2)]
                 for t in tables:
                     t[..., :3] = [-0.0, 0.0, -0.0]
-                if zeros:  # every product -0.0: a sum of them is 0.0
+                if zeros:  # every product -0.0: the sign of a sum is numpy's
                     tables = [np.full(7, -0.0)] + [np.abs(t) for t in tables[1:]]
                 gathers = [rng.integers(0, 7, n_out * n_sum) for _ in tables]
                 want = plain(tables, gathers, n_out, n_sum)
