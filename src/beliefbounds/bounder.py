@@ -8,7 +8,9 @@ Two implementations of the same contract:
   the chain factorization P(a, e) = prod_j P(e_j | e_<j, a) * P(a) by
   iterative bound propagation (per-variable linear programs over Markov
   boundary configurations, solved by a sound greedy relaxation), and always
-  intersects with the prior-mass interval so it can only be tighter.
+  intersects with the prior-mass interval so it can only be tighter. All
+  contexts of a ``tables_for`` call propagate in lock-step: one array update
+  per variable and sweep, from tables cached per boundary structure as arrays.
 
 Both also produce batched per-tuple tables for the engine: one joint interval
 plus two rows, over one cell layout the bounder owns, that bound
@@ -61,62 +63,15 @@ class BlanketLp:
     members: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _empty_groups(col: np.ndarray, d: int) -> np.ndarray | None:
-    """Mask of the values no boundary configuration takes (None if none)."""
-    empty = np.bincount(col, minlength=d) == 0
-    return empty if empty.any() else None
-
-
-def _member_table(coeffs: np.ndarray, col: np.ndarray, d: int, empty, maximize: bool):
-    """Greedy table of one member for one coefficient vector and sense.
-
-    Within a value group all mass may sit on the best configuration, so only
-    the per-group best coefficient matters (0 for empty groups). Returns that
-    array and the (group, best) steps in stable pouring order, best first,
-    empty groups left out. Depends only on the boundary structure.
-    """
-    best = np.full(d, -np.inf if maximize else np.inf)
-    if maximize:
-        np.maximum.at(best, col, coeffs)
-    else:
-        np.minimum.at(best, col, coeffs)
-    if empty is not None:
-        best[empty] = 0.0
-    order = np.argsort(-best if maximize else best, kind="stable").tolist()
-    steps = tuple(
-        (g, float(best[g])) for g in order if empty is None or not empty[g]
-    )
-    return best, steps
-
-
-def _member_state(lows: np.ndarray, highs: np.ndarray, empty):
-    """Clipped lower bounds, upper caps and remaining mass of one member's
-    intervals, shared by every query value and both senses. None when this
-    member's constraints alone are infeasible (then the full LP is too)."""
-    if np.any(highs < lows - 1e-15):
-        return None
-    clipped = np.clip(lows, 0.0, 1.0)
-    tops = np.clip(highs, 0.0, 1.0)
-    if empty is not None:
-        if np.any(lows[empty] > 1e-15):
-            return None  # mandatory mass in a value no configuration provides
-        clipped[empty] = 0.0
-        tops[empty] = 0.0
-    rem = 1.0 - math.fsum(clipped.tolist())
-    if rem < -1e-12:
-        return None
-    caps = np.clip(tops - clipped, 0.0, None).tolist()
-    return clipped, caps, max(rem, 0.0)
-
-
 def _single_member_opt(state, table):
     """Exact optimum of the relaxation keeping only one member's constraints.
 
     The relaxation reduces to a fractional allocation over value groups:
     mandatory lower-bound mass first, then the remainder poured greedily
-    under the upper caps. ``state`` comes from ``_member_state`` and
-    ``table`` from ``_member_table``. Returns None when the caps cannot hold
-    the remainder (the full LP is infeasible then).
+    under the upper caps. ``state`` holds the member's clipped lower bounds,
+    caps and remaining mass, ``table`` its best coefficient per group and
+    the (group, best) steps in pouring order. Returns None when the caps
+    cannot hold the remainder (the full LP is infeasible then).
     """
     lows, caps, rem = state
     best, steps = table
@@ -134,143 +89,235 @@ def _single_member_opt(state, table):
     return value
 
 
-def _greedy_optimum(states, tables, fallback: float, maximize: bool) -> float:
-    """Tightest single-member optimum over the feasible members, else
-    ``fallback`` (the coefficient extreme)."""
-    candidates = []
-    for state, table in zip(states, tables):
-        if state is not None:
-            opt = _single_member_opt(state, table)
-            if opt is not None:
-                candidates.append(opt)
-    if not candidates:
-        return fallback
-    return min(candidates) if maximize else max(candidates)
-
-
 def solve_blanket_lp_greedy(lp: BlanketLp, sense: str) -> float:
     """Sound greedy relaxation: never below the exact max / above the exact min.
 
     Takes the best (tightest) single-member relaxation; every such optimum
     brackets the exact one from the safe side, so does their min/max. With no
     members (or all infeasible, which implies the exact LP is infeasible) the
-    coefficient extremes are returned.
+    coefficient extremes are returned. Within a value group all mass may sit
+    on the best configuration, so only the per-group best coefficient matters
+    (0 for a value no configuration takes). Propagation solves its LPs as
+    arrays with the same floats (``_blanket_bounds``).
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be min or max, got {sense!r}")
     maximize = sense == "max"
-    states, tables = [], []
+    candidates = []
     for _var, col, lows, highs in lp.members:
-        empty = _empty_groups(col, len(lows))
-        states.append(_member_state(lows, highs, empty))
-        tables.append(_member_table(lp.coeffs, col, len(lows), empty, maximize))
-    fallback = float(lp.coeffs.max()) if maximize else float(lp.coeffs.min())
-    return _greedy_optimum(states, tables, fallback, maximize)
+        empty = np.bincount(col, minlength=len(lows)) == 0
+        # a member whose constraints alone are infeasible makes the LP so
+        if np.any(highs < lows - 1e-15) or np.any(lows[empty] > 1e-15):
+            continue
+        best = np.full(len(lows), -np.inf if maximize else np.inf)
+        (np.maximum if maximize else np.minimum).at(best, col, lp.coeffs)
+        best[empty] = 0.0
+        order = np.argsort(-best if maximize else best, kind="stable").tolist()
+        steps = [(g, float(best[g])) for g in order if not empty[g]]
+        clipped = np.where(empty, 0.0, np.clip(lows, 0.0, 1.0))
+        tops = np.where(empty, 0.0, np.clip(highs, 0.0, 1.0))
+        rem = 1.0 - math.fsum(clipped.tolist())
+        if rem < -1e-12:
+            continue
+        caps = np.clip(tops - clipped, 0.0, None).tolist()
+        opt = _single_member_opt((clipped, caps, max(rem, 0.0)), (best, steps))
+        if opt is not None:
+            candidates.append(opt)
+    if not candidates:
+        return float(lp.coeffs.max()) if maximize else float(lp.coeffs.min())
+    return min(candidates) if maximize else max(candidates)
 
 
 # ---------------------------------------------------------------------------
 # bound propagation
 
-def _boundary_structure(
-    bn: BayesianNetwork, x: int, kids: tuple[int, ...], e: Evidence, k: int
-):
-    """Boundary, config columns, coefficients and greedy tables of x.
+def _blanket_coeffs(bn: BayesianNetwork, x: int, kids: tuple[int, ...], e: Evidence, unobs):
+    """P(x | boundary configuration) over a grid with one axis per member of
+    ``unobs`` (the unobserved boundary), then x's values. ``kids`` are the
+    children of x that stay after barren-descendant pruning."""
+    axes = unobs + (x,)
+    scores = np.ones([bn.cards[v] for v in axes])
+    for fam in (x,) + kids:
+        cpt = bn.cpts[fam]
+        idx = np.zeros([1] * len(axes), dtype=np.int64)  # into the flat CPT, over the grid
+        for v in cpt.parents + (cpt.child,):
+            shape = [-1 if u == v else 1 for u in axes]
+            idx = idx * bn.cards[v] + (e[v] if v in e else np.arange(bn.cards[v]).reshape(shape))
+        scores = scores * cpt.table.reshape(-1)[idx]
+    denom = scores.sum(axis=-1, keepdims=True)
+    return np.divide(scores, denom, out=np.zeros_like(scores), where=denom > 0.0)
 
-    ``kids`` are the children of x that stay after barren-descendant pruning.
+
+#: Per sense (0 the min, 1 the max): the sign that a coefficient sorts by in
+#: the pouring order (x * -1.0 is -x), and the optimum of a row without a
+#: feasible member until its fallback replaces it.
+_SENSE = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
+_NONE = np.array([-np.inf, np.inf]).reshape(2, 1, 1)
+
+
+def _boundary_structure(bn: BayesianNetwork, x: int, kids: tuple[int, ...], e: Evidence, k: int):
+    """x's greedy LP tables as arrays: ``()`` when the full boundary domain
+    exceeds ``k`` (x is skipped), else (members, fallback, best, order):
+    the unobserved boundary variables in id order; ``fallback[sense, value]``,
+    the coefficient extremes (sense 0 the min, 1 the max);
+    ``best[sense, value, member, group]``, the extreme coefficient among the
+    configurations giving the member that value, padded with infinities
+    past a member's card; each member's groups in stable pouring order.
+
     Nothing else of ``e`` matters than the values of the observed boundary
     members, so the cache key holds only those: chain steps and partial
     tuples that differ elsewhere share the entry.
     """
-    boundary: set[int] = set(bn.parents(x))
-    for c in kids:
-        boundary.add(c)
-        boundary.update(bn.parents(c))
-    boundary.discard(x)
+    boundary = set(bn.parents(x)).union(kids, *(bn.parents(c) for c in kids)) - {x}
     observed = tuple((v, e[v]) for v in sorted(boundary) if v in e)
     key = ("bdp-var", x, kids, observed, k)
     hit = bn._cache.get(key)
     if hit is not None:
         return hit
-    domain = math.prod(bn.cards[v] for v in boundary) if boundary else 1
-    if domain > k:
-        out = {"skip": True}
-        bn._cache.put(key, out, held_bytes([]))
-        return out
-
-    unobs = tuple(sorted(v for v in boundary if v not in e))
-    n_configs = math.prod(bn.cards[v] for v in unobs) if unobs else 1
-    cols: dict[int, np.ndarray] = {}
-    suffix = n_configs
-    base = np.arange(n_configs, dtype=np.int64)
-    for v in unobs:
-        suffix //= bn.cards[v]
-        cols[v] = (base // suffix) % bn.cards[v]
-
-    card_x = bn.cards[x]
-
-    def value_of(v):
-        # returns an array broadcastable over (configs, x values)
-        if v == x:
-            return np.arange(card_x, dtype=np.int64)[None, :]
-        if v in e:
-            return np.full((1, 1), e[v], dtype=np.int64)
-        return cols[v][:, None]
-
-    scores = np.ones((n_configs, card_x))
-    for fam in (x,) + kids:
-        cpt = bn.cpts[fam]
-        strides = {}
-        acc = 1
-        scope = cpt.parents + (cpt.child,)
-        for v in reversed(scope):
-            strides[v] = acc
-            acc *= bn.cards[v]
-        idx = np.zeros((1, 1), dtype=np.int64)
-        for v in scope:
-            idx = idx + strides[v] * value_of(v)
-        scores = scores * cpt.table.reshape(-1)[idx]
-    denom = scores.sum(axis=1)
-    coeffs = np.divide(
-        scores, denom[:, None], out=np.zeros_like(scores), where=denom[:, None] > 0.0
-    )
-
-    # configurations enumerate every value of every member: no empty groups
-    def member_tables(c, maximize):
-        return tuple(_member_table(c, cols[u], bn.cards[u], None, maximize) for u in unobs)
-
-    # per query value: min fallback and tables, max fallback and tables
-    tables = [
-        (float(c.min()), member_tables(c, False), float(c.max()), member_tables(c, True))
-        for c in coeffs.T
-    ]
-    out = {
-        "skip": False,
-        "unobs": unobs,
-        "cols": cols,
-        "coeffs": coeffs,
-        "tables": tables,
-    }
-    arrays = [coeffs, *cols.values()]
-    arrays += [best for c in tables for side in (c[1], c[3]) for best, _ in side]
-    bn._cache.put(key, out, held_bytes(arrays))
+    out: tuple = ()
+    if math.prod(bn.cards[v] for v in boundary) <= k:
+        unobs = tuple(sorted(boundary - set(e)))
+        grid = _blanket_coeffs(bn, x, kids, e, unobs)
+        cards = grid.shape[:-1]
+        # every configuration exists, so no group is empty, and a member's
+        # best is an exact min or max over the other members' axes
+        best = np.empty((2, grid.shape[-1], len(cards), max(cards, default=1)))
+        best[0], best[1] = np.inf, -np.inf  # the padding, sorted last
+        for m, card in enumerate(cards):
+            others = tuple(a for a in range(len(cards)) if a != m)
+            best[:, :, m, :card] = grid.min(axis=others).T, grid.max(axis=others).T
+        order = np.argsort(best * _SENSE, axis=-1, kind="stable")
+        flat = grid.reshape(-1, grid.shape[-1])
+        fallback = np.stack([flat.min(axis=0), flat.max(axis=0)])
+        out = (np.array(unobs, dtype=np.int64), fallback, best, order)
+    bn._cache.put(key, out, held_bytes(list(out)))
     return out
 
 
-def _greedy_bounds(st: dict, states: dict, lows: dict, highs: dict):
-    """(min, max) of every query value's greedy relaxation. ``states`` holds
-    each member's ``_member_state`` at its current interval; missing ones are
-    computed here and then serve every value, both senses, and every other
-    variable with that member until its interval is next updated."""
-    member_states = []
-    for u in st["unobs"]:
-        if u not in states:
-            states[u] = _member_state(lows[u], highs[u], None)
-        member_states.append(states[u])
-    return [
-        (_greedy_optimum(member_states, min_tabs, min_fb, False),
-         _greedy_optimum(member_states, max_tabs, max_fb, True))
-        for min_fb, min_tabs, max_fb, max_tabs in st["tables"]
-    ]
+def _plan(bn: BayesianNetwork, x: int, rows, structs, starts: np.ndarray, width: int):
+    """x's update in the contexts ``rows`` with structures ``structs``: (rows,
+    x's cells, fallback, blocks), cells indexing the flattened contexts ×
+    cells intervals. Per member card d, a block over rows × members (the
+    member axis padded with masked members): member cells, member mask,
+    best, the caps' gather in pouring order, best in pouring order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    slot: dict = {}
+    which = [slot.setdefault(id(st), len(slot)) for st in structs]
+    distinct = list({id(st): st for st in structs}.values())
+    cards = np.asarray(bn.cards)
+    blocks = []
+    for d in sorted({int(cards[u]) for st in distinct for u in st[0]}):
+        picks = [cards[st[0]] == d for st in distinct]
+        n_mem = max(int(p.sum()) for p in picks)
+        member = np.zeros((len(distinct), n_mem), dtype=bool)
+        first = np.zeros((len(distinct), n_mem), dtype=np.int64)
+        best = np.zeros((len(distinct), 2, bn.cards[x], n_mem, d))
+        order = np.zeros(best.shape, dtype=np.int64)
+        for i, (st, pick) in enumerate(zip(distinct, picks)):
+            n = int(pick.sum())
+            if n:
+                member[i, :n] = True
+                first[i, :n] = starts[st[0][pick]]
+                best[i, :, :, :n] = st[2][:, :, pick, :d]
+                order[i, :, :, :n] = st[3][:, :, pick, :d]
+        cells = (rows * width)[:, None, None] + first[which][..., None] + np.arange(d)
+        slots = np.arange(len(rows) * n_mem).reshape(len(rows), 1, 1, n_mem, 1) * d
+        ranked = np.take_along_axis(best, order, -1)[which]
+        blocks.append((cells, member[which], best[which], order[which] + slots, ranked))
+    own = (rows * width + starts[x])[:, None] + np.arange(bn.cards[x])
+    return rows, own, np.stack([st[1] for st in distinct])[which], blocks
+
+
+def _blanket_bounds(fallback: np.ndarray, blocks, lows: np.ndarray, highs: np.ndarray):
+    """(min, max) of every row's greedy relaxation per value of x, against
+    the flat intervals ``lows`` and ``highs``: ``solve_blanket_lp_greedy``
+    as arrays, with the same floats. ``np.matmul`` on stacked vectors calls
+    the BLAS dot that ``np.dot`` calls. The remainder never drops below 0
+    and caps are at least 0, so a pour step after the scalar loop would
+    have stopped takes 0 and adds an exact 0."""
+    lo = np.full(fallback[:, 0].shape, -np.inf)
+    hi = -lo
+    for cells, member, best, cap_at, ranked in blocks:
+        low, high = lows[cells], highs[cells]
+        clipped = np.clip(low, 0.0, 1.0)
+        d = cells.shape[-1]
+        if d <= 2:  # math.fsum of one or two floats is their plain sum
+            rem = 1.0 - clipped.sum(axis=-1)
+        else:
+            rem = 1.0 - np.array([math.fsum(r) for r in clipped.reshape(-1, d).tolist()])
+            rem = rem.reshape(member.shape)
+        ok = member & ~(high < low - 1e-15).any(axis=-1) & ~(rem < -1e-12)
+        caps = np.clip(np.clip(high, 0.0, 1.0) - clipped, 0.0, None).reshape(-1)[cap_at]
+        value = np.matmul(clipped[:, None, None, :, None, :], best[..., None])[..., 0, 0]
+        rem = np.maximum(rem, 0.0)[:, None, None]
+        for s in range(d):
+            take = np.minimum(caps[..., s], rem)
+            value = value + take * ranked[..., s]
+            rem = rem - take
+        value = np.where(ok[:, None, None] & ~(rem > 1e-9), value, _NONE)
+        lo = np.maximum(lo, value[:, 0].max(axis=-1))
+        hi = np.minimum(hi, value[:, 1].min(axis=-1))
+    return np.where(lo == -np.inf, fallback[:, 0], lo), np.where(hi == np.inf, fallback[:, 1], hi)
+
+
+def _propagate(bn: BayesianNetwork, contexts: list, base: Evidence, k: int, max_iters: int):
+    """Bound propagation in every context at once: (cells, lows, highs,
+    iterations, skipped), ``lows`` and ``highs`` contexts × cells over the
+    layout ``cells``: the variables outside ``base`` in id order (a
+    ``JointBounder``'s layout when ``base`` is its evidence), then those of
+    ``base``. Sweeps visit the variables in topological order; at each, one
+    array update serves every context that sweeps it. A context keeps its
+    own delta, stop and iteration count: each gets what it gets alone."""
+    cells: dict[int, slice] = {}
+    starts, width = np.zeros(bn.n, dtype=np.int64), 0
+    for v in [v for v in range(bn.n) if v not in base] + sorted(base):
+        starts[v], cells[v] = width, slice(width, width + bn.cards[v])
+        width += bn.cards[v]
+    lows, highs = np.zeros((len(contexts), width)), np.ones((len(contexts), width))
+    sweeps = []  # per context, {x: structure} of its unobserved variables
+    for c, ctx in enumerate(contexts):
+        for v, val in ctx.items():  # observed: the indicator
+            highs[c, cells[v]] = 0.0
+            lows[c, starts[v] + val] = highs[c, starts[v] + val] = 1.0
+        # barren-descendant pruning: a child stays in x's relevant
+        # subnetwork when it is observed or has an observed descendant
+        kept = set(ctx) | ancestors_of(bn, set(ctx))
+        sweeps.append({
+            v: _boundary_structure(bn, v, tuple(u for u in bn.children[v] if u in kept), ctx, k)
+            for v in range(bn.n) if v not in ctx
+        })
+    plans = []
+    for x in bn.topo_order:
+        rows = [c for c, sw in enumerate(sweeps) if sw.get(x)]
+        if rows:
+            plans.append(_plan(bn, x, rows, [sweeps[c][x] for c in rows], starts, width))
+    flat_lo, flat_hi = lows.reshape(-1), highs.reshape(-1)
+    iterations = np.zeros(len(contexts), dtype=np.int64)
+    live = np.ones(len(contexts), dtype=bool)
+    for _ in range(max_iters):
+        iterations += live
+        before = lows.copy(), highs.copy()
+        for rows, own, fallback, blocks in plans:
+            lo, hi = _blanket_bounds(fallback, blocks, flat_lo, flat_hi)
+            lv, hv = flat_lo[own], flat_hi[own]
+            # min(max(lv, lo), hv) and max(min(hv, hi), new_lo), as Python's;
+            # contexts that stopped keep their intervals
+            new_lo = np.where(lo > lv, lo, lv)
+            new_lo = np.where(hv < new_lo, hv, new_lo)
+            new_hi = np.where(hi < hv, hi, hv)
+            new_hi = np.where(new_lo > new_hi, new_lo, new_hi)
+            keep = live[rows][:, None]
+            flat_lo[own] = np.where(keep, new_lo, lv)
+            flat_hi[own] = np.where(keep, new_hi, hv)
+        # every variable is updated once a sweep, from its interval at the
+        # sweep's start: the largest move of any cell is the sweep's delta
+        delta = np.maximum(lows - before[0], before[1] - highs).max(axis=1, initial=0.0)
+        live &= delta > DEFAULT_TOL
+        if not live.any():
+            break
+        plans = [p for p in plans if live[p[0]].any()]
+    skipped = [frozenset(v for v, st in sw.items() if not st) for sw in sweeps]
+    return cells, lows, highs, iterations.tolist(), skipped
 
 
 def _at_least(name: str, value: int, least: int) -> None:
@@ -279,10 +326,7 @@ def _at_least(name: str, value: int, least: int) -> None:
 
 
 def propagate_marginal_bounds(
-    bn: BayesianNetwork,
-    e: Evidence,
-    k: int = DEFAULT_K,
-    max_iters: int = DEFAULT_MAX_ITERS,
+    bn: BayesianNetwork, e: Evidence, k: int = DEFAULT_K, max_iters: int = DEFAULT_MAX_ITERS
 ) -> MarginalBounds:
     """Iterative marginal bounding by per-variable boundary LPs.
 
@@ -294,83 +338,15 @@ def propagate_marginal_bounds(
     whose full boundary domain exceeds ``k`` are skipped and keep [0, 1].
     Observed variables are pinned to their indicator. ``k < 0`` or
     ``max_iters < 1`` raises ``ValueError``.
+
+    The one-context call of the abdp bounder's lock-step propagation
+    (``_propagate``), which solves a variable's LPs as arrays.
     """
     _at_least("k", k, 0)
     _at_least("max_iters", max_iters, 1)
-    lows: dict[int, np.ndarray] = {}
-    highs: dict[int, np.ndarray] = {}
-    for v in range(bn.n):
-        if v in e:
-            lo = np.zeros(bn.cards[v])
-            lo[e[v]] = 1.0
-            lows[v] = lo
-            highs[v] = lo.copy()
-        else:
-            lows[v] = np.zeros(bn.cards[v])
-            highs[v] = np.ones(bn.cards[v])
-
-    # barren-descendant pruning: a child stays in x's relevant subnetwork
-    # when it is observed or has an observed descendant
-    has_obs_below = ancestors_of(bn, set(e))
-    sweep_vars = [v for v in bn.topo_order if v not in e]
-    structures = {}
-    for v in sweep_vars:
-        kids = tuple(c for c in bn.children[v] if c in e or c in has_obs_below)
-        structures[v] = _boundary_structure(bn, v, kids, e, k)
-    skipped = {v for v in sweep_vars if structures[v]["skip"]}
-
-    states: dict = {}
-    iters = 0
-    for _ in range(max_iters):
-        iters += 1
-        delta = 0.0
-        for v in sweep_vars:
-            st = structures[v]
-            if st["skip"]:
-                continue
-            lv, hv = lows[v], highs[v]
-            for val, (lo, hi) in enumerate(_greedy_bounds(st, states, lows, highs)):
-                new_lo = min(max(lv[val], lo), hv[val])
-                new_hi = max(min(hv[val], hi), new_lo)
-                delta = max(delta, new_lo - lv[val], hv[val] - new_hi)
-                lv[val] = new_lo
-                hv[val] = new_hi
-            states.pop(v, None)
-        if delta <= DEFAULT_TOL:
-            break
-    return MarginalBounds(lows=lows, highs=highs, iterations=iters, skipped=frozenset(skipped))
-
-
-# ---------------------------------------------------------------------------
-# joint-probability bounds
-
-def _chain_bounds(bn, e, merged: dict, prior: float, k, iters):
-    """Bound P(merged, e) by the evidence-chain factorization, given the
-    prior mass P(merged) of a conflict-free assignment.
-
-    Evidence conditionals are taken in topological order (earlier factors see
-    smaller relevant subnetworks). Each factor's interval comes from bound
-    propagation on the network conditioned on everything to its left.
-    The result is intersected with the prior-mass interval, so it degrades to
-    that bound instead of ever being worse.
-    """
-    for var, val in merged.items():
-        if var in e and e[var] != val:
-            return 0.0, 0.0
-    bf_hi = min(1.0, prior)
-    lo_prod, hi_prod = 1.0, 1.0
-    ctx = dict(merged)
-    for ev_var in (v for v in bn.topo_order if v in e and v not in merged):
-        mb = propagate_marginal_bounds(bn, ctx, k=k, max_iters=iters)
-        l, u = mb.interval(ev_var, e[ev_var])
-        lo_prod *= max(0.0, l)
-        hi_prod *= min(1.0, u)
-        ctx[ev_var] = e[ev_var]
-        if hi_prod == 0.0:
-            break
-    lo = max(0.0, lo_prod * prior)
-    hi = min(bf_hi, hi_prod * prior)
-    return min(lo, hi), hi
+    cells, lows, highs, iterations, skipped = _propagate(bn, [e], e, k, max_iters)
+    lows, highs = ({v: rows[0, cells[v]] for v in range(bn.n)} for rows in (lows, highs))
+    return MarginalBounds(lows, highs, iterations=iterations[0], skipped=skipped[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +406,6 @@ class JointBounder:
             v for v in range(self.bn.n) if v not in self.e and v not in assigned
         ]
 
-    def _row(self, tables: dict[int, np.ndarray]) -> np.ndarray:
-        """One row from per-variable arrays, one for every cell variable."""
-        row = np.empty(self.width)
-        for v, sl in self.cells.items():
-            row[sl] = tables[v]
-        return row
-
     def tuple_tables(self, partial: PartialAssignment) -> PartialTupleBounds:
         """Memoized batched tables: each distinct partial is computed and
         counted once."""
@@ -461,10 +430,15 @@ class JointBounder:
         loaded = self._load_priors(rows)
         self._priors.update(zip(fresh, loaded))
         try:
+            self._prepare(fresh)
             tables = tuple(self.tuple_tables(k) for k in keys)
         finally:
             self._priors.clear()
         return tables, [prior for prior, _ in loaded[len(fresh):]]
+
+    def _prepare(self, fresh: list) -> None:
+        """Work shared by the ``_tables`` of the partials in ``fresh``, whose
+        priors are loaded: none by default."""
 
     def _load_priors(self, rows) -> list[tuple[float, dict[int, np.ndarray]]]:
         """(P(row), {free cutset var v: P(row, v=x) per x}) of every row, a
@@ -552,35 +526,61 @@ class ChainPropagationBounder(JointBounder):
         super().__init__(bn, e, cutset_vars)
         self.k = k
         self.iters = iters
+        self._bounds: dict = {}  # filled by _prepare, taken by _tables
+
+    def _prepare(self, fresh: list) -> None:
+        """One lock-step propagation over the contexts of every fresh
+        partial with mass: one per evidence-chain factor, in topological
+        order (earlier ones see smaller relevant subnetworks), then
+        e ∪ partial for its rows."""
+        e, jobs, contexts = self.e, [], []
+        for key in fresh:
+            if self._priors[key][0] != 0.0:
+                ctx = dict(key)
+                chain = [v for v in self.bn.topo_order if v in e and v not in ctx]
+                if any(e.get(v, x) != x for v, x in key):
+                    chain = None  # the partial contradicts e
+                for v in chain or ():
+                    contexts.append(dict(ctx))
+                    ctx[v] = e[v]
+                contexts.append({**e, **ctx})
+                jobs.append((key, chain, len(contexts) - 1))
+        cells, lows, highs, _, _ = _propagate(self.bn, contexts, e, self.k, self.iters)
+        self._bounds = {}
+        for key, chain, own in jobs:
+            prior = self._priors[key][0]
+            joint = (0.0, 0.0)
+            if chain is not None:
+                lo_prod, hi_prod = 1.0, 1.0
+                for row, v in enumerate(chain, own - len(chain)):
+                    lo_prod *= max(0.0, float(lows[row, cells[v]][e[v]]))
+                    hi_prod *= min(1.0, float(highs[row, cells[v]][e[v]]))
+                    if hi_prod == 0.0:  # the later factors are computed and ignored
+                        break
+                # intersected with the prior-mass interval: never worse than bf
+                lo = max(0.0, lo_prod * prior)
+                hi = min(min(1.0, prior), hi_prod * prior)
+                joint = (min(lo, hi), hi)
+            self._bounds[key] = joint, lows[own, : self.width], highs[own, : self.width]
 
     def _tables(self, partial: dict) -> PartialTupleBounds:
-        prior, var_prior = self._priors[tuple(partial.items())]
-        if prior == 0.0:
-            return PartialTupleBounds(
-                prior=0.0,
-                joint=(0.0, 0.0),
-                low=self._zeros,
-                high=self._zeros,
-                var_prior=var_prior,
-                cost=0,
-            )
-        jl, jh = _chain_bounds(self.bn, self.e, partial, prior, self.k, self.iters)
-        cond = dict(self.e)
-        cond.update(partial)
-        mb = propagate_marginal_bounds(self.bn, cond, k=self.k, max_iters=self.iters)
+        key = tuple(partial.items())
+        prior, var_prior = self._priors[key]
+        # a partial without mass is not propagated, and costs nothing
+        (jl, jh), lows, highs = self._bounds.pop(key, ((0.0, 0.0), self._zeros, self._zeros))
         # the prior caps every value, a free cutset variable's extension
         # priors cap its own
         cap = np.full(self.width, prior)
         for v, ext in var_prior.items():
             cap[self.cells[v]] = ext
-        high = np.minimum(self._row(mb.highs) * jh, cap)
+        high = np.minimum(highs * jh, cap)
         return PartialTupleBounds(
             prior=prior,
             joint=(jl, jh),
-            low=np.minimum(self._row(mb.lows) * jl, high),
+            low=np.minimum(lows * jl, high),
             high=high,
             var_prior=var_prior,
-            cost=2,
+            cost=2 if prior != 0.0 else 0,
         )
 
 

@@ -142,7 +142,7 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
                 probs[val] = mass(tuple(state), around)
             total = probs.sum()
             if total > 0.0:
-                state[k] = int(rng.choice(c.cards[k], p=probs / total))
+                state[k] = _draw(rng, probs / total)
             else:  # all-zero conditional: keep the current value
                 state[k] = current
             mass(tuple(state), around)
@@ -179,6 +179,15 @@ def _tuple_masses(bn, e, c, tups) -> dict[tuple[int, ...], float]:
     return dict(zip(tups, out.tolist()))
 
 
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``int(rng.choice(len(p), p=p))`` for a normalized ``p``, without its
+    argument checks: the same steps, so the same value from the same draw
+    of the random stream."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _forward_sample_cutset(bn, e, c, rng):
     """Ancestral sample of all variables with observed values forced."""
     sample: dict[int, int] = {}
@@ -191,7 +200,7 @@ def _forward_sample_cutset(bn, e, c, rng):
         if total <= 0.0:
             sample[v] = 0
         else:
-            sample[v] = int(rng.choice(bn.cards[v], p=row / total))
+            sample[v] = _draw(rng, row / total)
     return tuple(sample[v] for v in c.vars)
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from beliefbounds import bounder as bounder_mod
 from beliefbounds import exact as exact_mod
 from beliefbounds import kernels
 from beliefbounds import tuples as tuples_mod
@@ -19,8 +20,9 @@ from beliefbounds.bounder import (
     DEFAULT_MAX_ITERS,
     BlanketLp,
     JointBounder,
+    MarginalBounds,
     PartialTupleBounds,
-    _chain_bounds,
+    _blanket_coeffs,
 )
 from beliefbounds.exact import (
     bucket_eliminate_pe,
@@ -33,6 +35,7 @@ from beliefbounds.model import (
     BayesianNetwork,
     Cpt,
     Variable,
+    ancestors_of,
     assignment_tuples,
 )
 from beliefbounds.tuples import (
@@ -420,6 +423,132 @@ def reference_greedy_lp(lp: BlanketLp, sense: str) -> float:
 # references: the one-at-a-time forms that the batched, incremental and
 # hoisted code must reproduce bit for bit
 
+def blanket_lp_inputs(bn: BayesianNetwork, x: int, kids, e, unobs):
+    """({member: its value in each boundary configuration}, coefficients
+    per configuration and value of x) of x's blanket LPs, configurations in
+    mixed radix over ``unobs``, the first member most significant."""
+    n_configs = math.prod(bn.cards[u] for u in unobs)
+    cols, suffix = {}, n_configs
+    for u in unobs:
+        suffix //= bn.cards[u]
+        cols[u] = (np.arange(n_configs) // suffix) % bn.cards[u]
+    return cols, _blanket_coeffs(bn, x, kids, e, unobs).reshape(n_configs, bn.cards[x])
+
+
+def _reference_structure(bn: BayesianNetwork, x: int, kids, e, k: int) -> dict:
+    """x's unobserved boundary members, their config columns and the LP
+    coefficients, built for one call; ``skip`` when the full boundary domain
+    exceeds ``k``."""
+    boundary: set[int] = set(bn.parents(x))
+    for c in kids:
+        boundary.add(c)
+        boundary.update(bn.parents(c))
+    boundary.discard(x)
+    if math.prod(bn.cards[v] for v in boundary) > k:
+        return {"skip": True}
+    unobs = tuple(sorted(v for v in boundary if v not in e))
+    cols, coeffs = blanket_lp_inputs(bn, x, kids, e, unobs)
+    return {"skip": False, "unobs": unobs, "cols": cols, "coeffs": coeffs}
+
+
+def _reference_greedy_bounds(x: int, st: dict, lows: dict, highs: dict):
+    """(min, max) of the greedy relaxation of every query value's LP, each
+    solved on its own by ``reference_greedy_lp``."""
+    members = tuple((u, st["cols"][u], lows[u], highs[u]) for u in st["unobs"])
+    lps = [BlanketLp((x, val), c, members) for val, c in enumerate(st["coeffs"].T)]
+    return [(reference_greedy_lp(lp, "min"), reference_greedy_lp(lp, "max")) for lp in lps]
+
+
+def reference_propagate(
+    bn: BayesianNetwork, e, k: int = DEFAULT_K, max_iters: int = DEFAULT_MAX_ITERS
+) -> MarginalBounds:
+    """Bound propagation one context and one variable at a time, with the
+    scalar greedy LP of every member: what ``propagate_marginal_bounds`` and
+    the bounder's lock-step contexts must give, bit for bit. Reads
+    ``bounder.DEFAULT_TOL`` at call time, as the package does."""
+    lows: dict[int, np.ndarray] = {}
+    highs: dict[int, np.ndarray] = {}
+    for v in range(bn.n):
+        if v in e:
+            lo = np.zeros(bn.cards[v])
+            lo[e[v]] = 1.0
+            lows[v] = lo
+            highs[v] = lo.copy()
+        else:
+            lows[v] = np.zeros(bn.cards[v])
+            highs[v] = np.ones(bn.cards[v])
+
+    # barren-descendant pruning: a child stays in x's relevant subnetwork
+    # when it is observed or has an observed descendant
+    has_obs_below = ancestors_of(bn, set(e))
+    sweep_vars = [v for v in bn.topo_order if v not in e]
+    structures = {}
+    for v in sweep_vars:
+        kids = tuple(c for c in bn.children[v] if c in e or c in has_obs_below)
+        structures[v] = _reference_structure(bn, v, kids, e, k)
+    skipped = {v for v in sweep_vars if structures[v]["skip"]}
+
+    iters = 0
+    for _ in range(max_iters):
+        iters += 1
+        delta = 0.0
+        for v in sweep_vars:
+            st = structures[v]
+            if st["skip"]:
+                continue
+            lv, hv = lows[v], highs[v]
+            for val, (lo, hi) in enumerate(_reference_greedy_bounds(v, st, lows, highs)):
+                new_lo = min(max(lv[val], lo), hv[val])
+                new_hi = max(min(hv[val], hi), new_lo)
+                delta = max(delta, new_lo - lv[val], hv[val] - new_hi)
+                lv[val] = new_lo
+                hv[val] = new_hi
+        if delta <= bounder_mod.DEFAULT_TOL:
+            break
+    return MarginalBounds(lows=lows, highs=highs, iterations=iters, skipped=frozenset(skipped))
+
+
+def reference_chain_bounds(bn: BayesianNetwork, e, merged: dict, prior: float, k, iters):
+    """abdp's bound on P(merged, e) by the evidence-chain factorization,
+    given the prior mass P(merged), with one ``reference_propagate`` per
+    factor: what the bounder's lock-step joint must give."""
+    for var, val in merged.items():
+        if var in e and e[var] != val:
+            return 0.0, 0.0
+    bf_hi = min(1.0, prior)
+    lo_prod, hi_prod = 1.0, 1.0
+    ctx = dict(merged)
+    for ev_var in (v for v in bn.topo_order if v in e and v not in merged):
+        mb = reference_propagate(bn, ctx, k=k, max_iters=iters)
+        l, u = mb.interval(ev_var, e[ev_var])
+        lo_prod *= max(0.0, l)
+        hi_prod *= min(1.0, u)
+        ctx[ev_var] = e[ev_var]
+        if hi_prod == 0.0:
+            break
+    lo = max(0.0, lo_prod * prior)
+    hi = min(bf_hi, hi_prod * prior)
+    return min(lo, hi), hi
+
+
+def reference_abdp_tables(bounder, partial, prior: float, var_prior: dict):
+    """(joint, low row, high row) of one partial of an abdp bounder, given
+    its prior and extension priors, with one ``reference_propagate`` per
+    chain factor and for e ∪ partial: what the lock-step tables must give."""
+    bn, e, k, iters = bounder.bn, bounder.e, bounder.k, bounder.iters
+    merged = dict(partial)
+    joint = reference_chain_bounds(bn, e, merged, prior, k, iters)
+    mb = reference_propagate(bn, {**e, **merged}, k=k, max_iters=iters)
+    cap = np.full(bounder.width, prior)
+    for v, ext in var_prior.items():
+        cap[bounder.cells[v]] = ext
+    lows, highs = np.empty(bounder.width), np.empty(bounder.width)
+    for v, sl in bounder.cells.items():
+        lows[sl], highs[sl] = mb.lows[v], mb.highs[v]
+    high = np.minimum(highs * joint[1], cap)
+    return joint, np.minimum(lows * joint[0], high), high
+
+
 def reference_min_fill_sequence(scopes, elim) -> list[int]:
     """Min-fill that rescans every remaining variable at every step: the
     order ``graphs.min_fill_order`` must return. Variables of the scopes
@@ -744,12 +873,12 @@ def prior_mass_bounds(bn: BayesianNetwork, e, a, extra=None) -> tuple[float, flo
 def chain_joint_bounds(
     bn: BayesianNetwork, e, a, extra=None, k: int = DEFAULT_K, iters: int = DEFAULT_MAX_ITERS
 ) -> tuple[float, float]:
-    """abdp's bounds on P(a ∪ extra, e) (see ``bounder._chain_bounds``) for
+    """abdp's bounds on P(a ∪ extra, e) (see ``reference_chain_bounds``) for
     an assignment given as a dict or pairs, its prior mass eliminated here."""
     merged, conflict = merge_assignment({}, _as_pairs(a), extra)
     if conflict:
         return 0.0, 0.0
-    return _chain_bounds(bn, e, merged, float(eliminate(bn, merged)), k, iters)
+    return reference_chain_bounds(bn, e, merged, float(eliminate(bn, merged)), k, iters)
 
 
 def prior_mass_closed_interval(inputs, var: int, value: int):

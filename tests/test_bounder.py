@@ -14,19 +14,21 @@ from beliefbounds.bounder import (
     BlanketLp,
     ChainPropagationBounder,
     PriorMassBounder,
+    _blanket_bounds,
     _boundary_structure,
-    _chain_bounds,
-    _greedy_bounds,
+    _plan,
+    _propagate,
     make_bounder,
     propagate_marginal_bounds,
     solve_blanket_lp_greedy,
 )
 from beliefbounds.graphs import find_loop_cutset
-from beliefbounds.model import BayesianNetwork, Cpt, Variable, ancestors_of
+from beliefbounds.model import BayesianNetwork, Cpt, Variable, ancestors_of, held_bytes
 from beliefbounds.tuples import EXHAUSTIVE_CAP, build_truncated_tree, select_tuples_gibbs
 
 from conftest import (
     BlanketLpInfeasible,
+    blanket_lp_inputs,
     brute_event_mass,
     brute_posteriors,
     chain_joint_bounds,
@@ -39,7 +41,10 @@ from conftest import (
     random_lp,
     random_network,
     random_tree_network,
+    reference_abdp_tables,
+    reference_chain_bounds,
     reference_greedy_lp,
+    reference_propagate,
     select_by_chain,
     solve_blanket_lp_exact,
 )
@@ -237,30 +242,104 @@ class TestPropagation:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_precomputed_tables_equal_the_greedy_solver(self, seed):
-        # the tables cached per boundary structure and the member states
-        # shared across values give exactly the one-shot solver's optimum
+        # one array update at a variable, over contexts whose boundary
+        # structures differ (padded member axes, mixed member cards), gives
+        # each context exactly the one-shot solver's optimum
         rng = np.random.default_rng(seed)
         bn = random_network(rng, n=int(rng.integers(3, 8)))
-        e = random_evidence(rng, bn, max_obs=3)
-        lows, highs = {}, {}
-        for v in range(bn.n):  # some intervals cross, some leave [0, 1]
-            lows[v] = rng.random(bn.cards[v]) * 0.6 - 0.05
-            highs[v] = lows[v] + rng.random(bn.cards[v]) * 0.9 - 0.05
-        has_obs_below = ancestors_of(bn, set(e))
+        contexts = [random_evidence(rng, bn, max_obs=3) for _ in range(3)]
+        starts = np.cumsum((0,) + bn.cards[:-1])
+        width = sum(bn.cards)
+        # some intervals cross, some leave [0, 1]
+        lows = rng.random((len(contexts), width)) * 0.6 - 0.05
+        highs = lows + rng.random(lows.shape) * 0.9 - 0.05
         for x in range(bn.n):
-            if x in e:
+            kids, structs = {}, {}
+            for c, ctx in enumerate(contexts):
+                if x not in ctx:
+                    kept = set(ctx) | ancestors_of(bn, set(ctx))
+                    kids[c] = tuple(u for u in bn.children[x] if u in kept)
+                    structs[c] = _boundary_structure(bn, x, kids[c], ctx, 256)
+            rows = [c for c, st in structs.items() if st]
+            if not rows:
                 continue
-            kids = tuple(c for c in bn.children[x] if c in e or c in has_obs_below)
-            struct = _boundary_structure(bn, x, kids, e, 256)
-            if struct["skip"]:
-                continue
-            members = tuple(
-                (u, struct["cols"][u], lows[u], highs[u]) for u in struct["unobs"]
+            plan = _plan(bn, x, rows, [structs[c] for c in rows], starts, width)
+            lo, hi = _blanket_bounds(plan[2], plan[3], lows.reshape(-1), highs.reshape(-1))
+            for a, c in enumerate(rows):
+                unobs = tuple(structs[c][0].tolist())
+                cols, coeffs = blanket_lp_inputs(bn, x, kids[c], contexts[c], unobs)
+                members = tuple(
+                    (u, cols[u], lows[c, starts[u]:starts[u] + bn.cards[u]],
+                     highs[c, starts[u]:starts[u] + bn.cards[u]])
+                    for u in unobs
+                )
+                for val in range(bn.cards[x]):
+                    lp = BlanketLp((x, val), coeffs[:, val], members)
+                    want_lo = solve_blanket_lp_greedy(lp, "min")
+                    want_hi = solve_blanket_lp_greedy(lp, "max")
+                    assert lo[a, val] == want_lo == reference_greedy_lp(lp, "min")
+                    assert hi[a, val] == want_hi == reference_greedy_lp(lp, "max")
+
+    @staticmethod
+    def _assert_same(bn, got_lows, got_highs, iterations, skipped, ref):
+        for v in range(bn.n):
+            assert got_lows[v].tolist() == ref.lows[v].tolist(), v
+            assert got_highs[v].tolist() == ref.highs[v].tolist(), v
+        assert iterations == ref.iterations
+        assert skipped == ref.skipped
+
+    def _check_lock_step(self, bn, contexts, k, iters):
+        """``propagate_marginal_bounds`` of each context, and one lock-step
+        call over all of them, against the per-context reference."""
+        want = [reference_propagate(bn, ctx, k=k, max_iters=iters) for ctx in contexts]
+        cells, lows, highs, iterations, skipped = _propagate(bn, contexts, contexts[0], k, iters)
+        for c, ref in enumerate(want):
+            self._assert_same(
+                bn, {v: lows[c, sl] for v, sl in cells.items()},
+                {v: highs[c, sl] for v, sl in cells.items()}, iterations[c], skipped[c], ref,
             )
-            for val, (lo, hi) in enumerate(_greedy_bounds(struct, {}, lows, highs)):
-                lp = BlanketLp((x, val), struct["coeffs"][:, val], members)
-                assert lo == solve_blanket_lp_greedy(lp, "min") == reference_greedy_lp(lp, "min")
-                assert hi == solve_blanket_lp_greedy(lp, "max") == reference_greedy_lp(lp, "max")
+            one = propagate_marginal_bounds(bn, contexts[c], k=k, max_iters=iters)
+            self._assert_same(bn, one.lows, one.highs, one.iterations, one.skipped, ref)
+        return want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        small_k=st.booleans(),
+        iters=st.integers(1, 12),
+    )
+    def test_lock_step_equals_the_per_context_reference(self, seed, small_k, iters):
+        rng = np.random.default_rng(seed)
+        bn = random_network(rng, n=int(rng.integers(3, 9)), max_card=3)
+        k = int(rng.integers(2, 20)) if small_k else 2**10
+        contexts = [random_evidence(rng, bn, max_obs=4) for _ in range(int(rng.integers(1, 6)))]
+        self._check_lock_step(bn, contexts, k, iters)
+
+    def test_lock_step_covers_skips_ternary_cards_and_staggered_stops(self):
+        # fixed cases that the property above may not reach: contexts that
+        # stop at different sweeps, ternary members, skipped variables
+        grid = grid_network(4, 5, 30, 0)
+        grid_ctx = [{10: 0, 12: 0, 15: 1}, {10: 0}, {}, {10: 0, 12: 0, 15: 1, 6: 1, 8: 1, 1: 0}]
+        rng = np.random.default_rng(5)
+        bn = random_network(rng, n=9, max_card=3)
+        e = random_evidence(rng, bn, max_obs=3)
+        ternary_ctx = [e, {**e, 2: 2}, {**e, 2: 1, 4: 0}, {}]
+        stops = self._check_lock_step(grid, grid_ctx, 2**10, 7)
+        assert len({mb.iterations for mb in stops}) > 1
+        skips = self._check_lock_step(bn, ternary_ctx, 24, 10)
+        assert any(mb.skipped for mb in skips)
+        assert max(bn.cards) == 3
+
+    def test_structure_entries_hold_only_arrays_charged_in_full(self, rng):
+        bn = random_network(rng, n=8, max_card=3)
+        for e in [random_evidence(rng, bn, max_obs=3) for _ in range(4)]:
+            propagate_marginal_bounds(bn, e, k=24, max_iters=2)
+        entries = [hit for key, hit in bn._cache._entries.items() if key[0] == "bdp-var"]
+        assert any(not value for value, _ in entries) and any(value for value, _ in entries)
+        for value, nbytes in entries:
+            assert isinstance(value, tuple)
+            assert all(isinstance(a, np.ndarray) for a in value)
+            assert nbytes == held_bytes(list(value))
 
     def test_structure_cache_shared_across_evidence_is_exact(self, rng):
         # entries are keyed on a variable's local evidence only, so a cache
@@ -471,6 +550,26 @@ class TestBounderPlugins:
         ]
         return bn, e, cut, active, partials
 
+    def test_abdp_tables_of_many_partials_equal_the_per_partial_reference(self, rng):
+        # one lock-step propagation over every partial's contexts gives each
+        # partial the tables that one propagation per context gives it; the
+        # planted zeros give some partials no mass, and a repeated key is
+        # tabled once
+        for _ in range(6):
+            bn, e, cut, _, partials = self._partials(rng, h=3)
+            partials += [((cut.vars[0], 0),), ()] + partials[:1]
+            bounder = ChainPropagationBounder(bn, e, cut.vars, iters=6)
+            tabs, _ = bounder.tables_for(partials)
+            assert bounder.invocations == sum(t.cost for t in {id(t): t for t in tabs}.values())
+            for partial, tab in zip(partials, tabs):
+                if tab.prior == 0.0:
+                    assert tab.cost == 0 and tab.joint == (0.0, 0.0)
+                    continue
+                joint, low, high = reference_abdp_tables(bounder, partial, tab.prior, tab.var_prior)
+                assert tab.joint == joint
+                assert tab.low.tolist() == low.tolist()
+                assert tab.high.tolist() == high.tolist()
+
     def test_batched_priors_match_exact_rationals(self, rng):
         # one indicator bucket-tree pass gives the prior of every partial of
         # every depth and of its one-variable extensions: each is the exact
@@ -498,7 +597,7 @@ class TestBounderPlugins:
                             assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
                 tab = tables[1][j]
                 if tab.prior > 0.0:
-                    assert tab.joint == _chain_bounds(bn, e, assigned, tab.prior, 64, 2)
+                    assert tab.joint == reference_chain_bounds(bn, e, assigned, tab.prior, 64, 2)
                 else:
                     assert tab.joint == (0.0, 0.0) and tab.cost == 0
 

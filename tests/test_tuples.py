@@ -286,6 +286,23 @@ def _state_changes(bn, e, c, sweeps, seed) -> int:
     return changes
 
 
+class TestDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(
+            st.sampled_from([0.0, 1e-300, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0),
+            min_size=2, max_size=4,
+        ).filter(lambda w: sum(w) > 0.0),
+    )
+    def test_replays_generator_choice(self, seed, weights):
+        # the same index from the same draw, and the stream goes on alike
+        p = np.array(weights) / sum(weights)
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert tuples_mod._draw(mine, p) == int(theirs.choice(len(p), p=p))
+        assert mine.random() == theirs.random()
+
+
 class TestBatchedChain:
     """The chain evaluates a state's unseen one-coordinate neighbours in one
     batched elimination; its selections equal the one-tuple-per-call chain's."""
