@@ -8,9 +8,10 @@ Two implementations of the same contract:
   the chain factorization P(a, e) = prod_j P(e_j | e_<j, a) * P(a) by
   iterative bound propagation (per-variable linear programs over Markov
   boundary configurations, solved by a sound greedy relaxation), and always
-  intersects with the prior-mass interval so it can only be tighter. All
-  contexts of a ``tables_for`` call propagate in lock-step: one array update
-  per variable and sweep, from tables cached per boundary structure as arrays.
+  intersects with the prior-mass interval so it can only be tighter. The
+  contexts of a ``tables_for`` call propagate in lock-step, up to
+  ``PROPAGATE_CHUNK`` at a time: one array update per variable and sweep,
+  from tables cached per boundary structure as arrays.
 
 Both also produce batched per-tuple tables for the engine: one joint interval
 plus two rows, over one cell layout the bounder owns, that bound
@@ -32,6 +33,9 @@ DEFAULT_K = 2**10
 DEFAULT_MAX_ITERS = 50
 #: Propagation stops after a sweep that moves no bound by more than this.
 DEFAULT_TOL = 1e-6
+#: Contexts propagated together. A chunk's per-variable plans are held at
+#: once, ~28 KB a context on 7x7 grids.
+PROPAGATE_CHUNK = 128
 
 
 @dataclass
@@ -261,13 +265,14 @@ def _blanket_bounds(fallback: np.ndarray, blocks, lows: np.ndarray, highs: np.nd
 
 
 def _propagate(bn: BayesianNetwork, contexts: list, base: Evidence, k: int, max_iters: int):
-    """Bound propagation in every context at once: (cells, lows, highs,
-    iterations, skipped), ``lows`` and ``highs`` contexts × cells over the
-    layout ``cells``: the variables outside ``base`` in id order (a
-    ``JointBounder``'s layout when ``base`` is its evidence), then those of
-    ``base``. Sweeps visit the variables in topological order; at each, one
-    array update serves every context that sweeps it. A context keeps its
-    own delta, stop and iteration count: each gets what it gets alone."""
+    """Bound propagation in every context, ``PROPAGATE_CHUNK`` contexts at
+    a time: (cells, lows, highs, iterations, skipped), ``lows`` and
+    ``highs`` contexts × cells over the layout ``cells``: the variables
+    outside ``base`` in id order (a ``JointBounder``'s layout when ``base``
+    is its evidence), then those of ``base``. Sweeps visit the variables in
+    topological order; at each, one array update serves every context of
+    the chunk that sweeps it. A context keeps its own delta, stop and
+    iteration count: each gets what it gets alone."""
     cells: dict[int, slice] = {}
     starts, width = np.zeros(bn.n, dtype=np.int64), 0
     for v in [v for v in range(bn.n) if v not in base] + sorted(base):
@@ -286,36 +291,38 @@ def _propagate(bn: BayesianNetwork, contexts: list, base: Evidence, k: int, max_
             v: _boundary_structure(bn, v, tuple(u for u in bn.children[v] if u in kept), ctx, k)
             for v in range(bn.n) if v not in ctx
         })
-    plans = []
-    for x in bn.topo_order:
-        rows = [c for c, sw in enumerate(sweeps) if sw.get(x)]
-        if rows:
-            plans.append(_plan(bn, x, rows, [sweeps[c][x] for c in rows], starts, width))
     flat_lo, flat_hi = lows.reshape(-1), highs.reshape(-1)
     iterations = np.zeros(len(contexts), dtype=np.int64)
     live = np.ones(len(contexts), dtype=bool)
-    for _ in range(max_iters):
-        iterations += live
-        before = lows.copy(), highs.copy()
-        for rows, own, fallback, blocks in plans:
-            lo, hi = _blanket_bounds(fallback, blocks, flat_lo, flat_hi)
-            lv, hv = flat_lo[own], flat_hi[own]
-            # min(max(lv, lo), hv) and max(min(hv, hi), new_lo), as Python's;
-            # contexts that stopped keep their intervals
-            new_lo = np.where(lo > lv, lo, lv)
-            new_lo = np.where(hv < new_lo, hv, new_lo)
-            new_hi = np.where(hi < hv, hi, hv)
-            new_hi = np.where(new_lo > new_hi, new_lo, new_hi)
-            keep = live[rows][:, None]
-            flat_lo[own] = np.where(keep, new_lo, lv)
-            flat_hi[own] = np.where(keep, new_hi, hv)
-        # every variable is updated once a sweep, from its interval at the
-        # sweep's start: the largest move of any cell is the sweep's delta
-        delta = np.maximum(lows - before[0], before[1] - highs).max(axis=1, initial=0.0)
-        live &= delta > DEFAULT_TOL
-        if not live.any():
-            break
-        plans = [p for p in plans if live[p[0]].any()]
+    for top in range(0, len(contexts), PROPAGATE_CHUNK):
+        chunk = slice(top, top + PROPAGATE_CHUNK)
+        plans = []
+        for x in bn.topo_order:
+            rows = [c for c in range(len(contexts))[chunk] if sweeps[c].get(x)]
+            if rows:
+                plans.append(_plan(bn, x, rows, [sweeps[c][x] for c in rows], starts, width))
+        for _ in range(max_iters):
+            iterations[chunk] += live[chunk]
+            before = lows[chunk].copy(), highs[chunk].copy()
+            for rows, own, fallback, blocks in plans:
+                lo, hi = _blanket_bounds(fallback, blocks, flat_lo, flat_hi)
+                lv, hv = flat_lo[own], flat_hi[own]
+                # min(max(lv, lo), hv) and max(min(hv, hi), new_lo), as
+                # Python's; contexts that stopped keep their intervals
+                new_lo = np.where(lo > lv, lo, lv)
+                new_lo = np.where(hv < new_lo, hv, new_lo)
+                new_hi = np.where(hi < hv, hi, hv)
+                new_hi = np.where(new_lo > new_hi, new_lo, new_hi)
+                keep = live[rows][:, None]
+                flat_lo[own] = np.where(keep, new_lo, lv)
+                flat_hi[own] = np.where(keep, new_hi, hv)
+            # every variable is updated once a sweep, from its interval at
+            # the sweep's start: the largest move of any cell is the delta
+            delta = np.maximum(lows[chunk] - before[0], before[1] - highs[chunk])
+            live[chunk] &= delta.max(axis=1, initial=0.0) > DEFAULT_TOL
+            if not live[chunk].any():
+                break
+            plans = [p for p in plans if live[p[0]].any()]
     skipped = [frozenset(v for v, st in sw.items() if not st) for sw in sweeps]
     return cells, lows, highs, iterations.tolist(), skipped
 
@@ -391,7 +398,6 @@ class JointBounder:
         self.cutset_vars = tuple(cutset_vars)
         self.invocations = 0
         self._memo: dict = {}
-        self._priors: dict = {}  # loaded by tables_for, taken by _tables
         self.cells: dict[int, slice] = {}
         width = 0
         for v in self._free_vars({}):
@@ -409,36 +415,22 @@ class JointBounder:
     def tuple_tables(self, partial: PartialAssignment) -> PartialTupleBounds:
         """Memoized batched tables: each distinct partial is computed and
         counted once."""
-        key = tuple(partial)
-        hit = self._memo.get(key)
-        if hit is None:
-            if key not in self._priors:  # asked for alone: load its priors
-                return self.tables_for([key])[0][0]
-            hit = self._tables(dict(partial))
-            self._memo[key] = hit
-            self.invocations += hit.cost
-        return hit
+        return self.tables_for([partial])[0][0]
 
     def tables_for(self, partials, tuples=()) -> tuple[tuple[PartialTupleBounds, ...], list[float]]:
         """(``tuple_tables`` of every partial, the prior of every full cutset
         tuple in ``tuples``). The priors of the full tuples and of the
         partials not yet tabled come from one batched pass (split by depth
-        on large networks, see ``_priors_of``)."""
+        on large networks, see ``_priors_of``), and the partials not yet
+        tabled are tabled together."""
         keys = [tuple(p) for p in partials]
         fresh = list(dict.fromkeys(k for k in keys if k not in self._memo))
         rows = fresh + [tuple(zip(self.cutset_vars, t)) for t in tuples]
         loaded = self._load_priors(rows)
-        self._priors.update(zip(fresh, loaded))
-        try:
-            self._prepare(fresh)
-            tables = tuple(self.tuple_tables(k) for k in keys)
-        finally:
-            self._priors.clear()
-        return tables, [prior for prior, _ in loaded[len(fresh):]]
-
-    def _prepare(self, fresh: list) -> None:
-        """Work shared by the ``_tables`` of the partials in ``fresh``, whose
-        priors are loaded: none by default."""
+        for key, tab in zip(fresh, self._tables(fresh, loaded[: len(fresh)])):
+            self._memo[key] = tab
+            self.invocations += tab.cost
+        return tuple(self._memo[k] for k in keys), [prior for prior, _ in loaded[len(fresh):]]
 
     def _load_priors(self, rows) -> list[tuple[float, dict[int, np.ndarray]]]:
         """(P(row), {free cutset var v: P(row, v=x) per x}) of every row, a
@@ -484,7 +476,9 @@ class JointBounder:
             for j, prior in enumerate(np.broadcast_to(total, (n,)).tolist())
         ]
 
-    def _tables(self, partial: dict) -> PartialTupleBounds:
+    def _tables(self, fresh: list, loaded: list) -> list[PartialTupleBounds]:
+        """The tables of the partials ``fresh``, given their ``loaded``
+        priors."""
         raise NotImplementedError
 
 
@@ -494,22 +488,25 @@ class PriorMassBounder(JointBounder):
 
     name = "bf"
 
-    def _tables(self, partial: dict) -> PartialTupleBounds:
-        prior, var_prior = self._priors[tuple(partial.items())]
-        # the tuple's own prior mass caps every value; a free cutset variable
-        # is capped by its extension priors, exact priors of (partial + {v=x})
-        high = np.full(self.width, min(prior, 1.0))
-        for v, ext in var_prior.items():
-            np.minimum(ext, 1.0, out=high[self.cells[v]])
-        high.flags.writeable = False
-        return PartialTupleBounds(
-            prior=prior,
-            joint=(0.0, min(prior, 1.0)),
-            low=self._zeros,
-            high=high,
-            var_prior=var_prior,
-            cost=1,
-        )
+    def _tables(self, fresh: list, loaded: list) -> list[PartialTupleBounds]:
+        out = []
+        for prior, var_prior in loaded:
+            # the tuple's own prior mass caps every value; a free cutset
+            # variable is capped by its extension priors, exact priors of
+            # (partial + {v=x})
+            high = np.full(self.width, min(prior, 1.0))
+            for v, ext in var_prior.items():
+                np.minimum(ext, 1.0, out=high[self.cells[v]])
+            high.flags.writeable = False
+            out.append(PartialTupleBounds(
+                prior=prior,
+                joint=(0.0, min(prior, 1.0)),
+                low=self._zeros,
+                high=high,
+                var_prior=var_prior,
+                cost=1,
+            ))
+        return out
 
 
 class ChainPropagationBounder(JointBounder):
@@ -526,62 +523,57 @@ class ChainPropagationBounder(JointBounder):
         super().__init__(bn, e, cutset_vars)
         self.k = k
         self.iters = iters
-        self._bounds: dict = {}  # filled by _prepare, taken by _tables
 
-    def _prepare(self, fresh: list) -> None:
-        """One lock-step propagation over the contexts of every fresh
-        partial with mass: one per evidence-chain factor, in topological
-        order (earlier ones see smaller relevant subnetworks), then
-        e ∪ partial for its rows."""
+    def _tables(self, fresh: list, loaded: list) -> list[PartialTupleBounds]:
+        """One lock-step propagation over the contexts of every partial with
+        mass: one per evidence-chain factor, in topological order (earlier
+        ones see smaller relevant subnetworks), then e ∪ partial for its
+        rows. A partial without mass is not propagated, and costs nothing."""
         e, jobs, contexts = self.e, [], []
-        for key in fresh:
-            if self._priors[key][0] != 0.0:
+        for key, (prior, _) in zip(fresh, loaded):
+            own, chain = None, None  # no chain: the partial contradicts e
+            if prior != 0.0:
                 ctx = dict(key)
-                chain = [v for v in self.bn.topo_order if v in e and v not in ctx]
-                if any(e.get(v, x) != x for v, x in key):
-                    chain = None  # the partial contradicts e
+                if all(e.get(v, x) == x for v, x in key):
+                    chain = [v for v in self.bn.topo_order if v in e and v not in ctx]
                 for v in chain or ():
                     contexts.append(dict(ctx))
                     ctx[v] = e[v]
                 contexts.append({**e, **ctx})
-                jobs.append((key, chain, len(contexts) - 1))
+                own = len(contexts) - 1
+            jobs.append((own, chain))
         cells, lows, highs, _, _ = _propagate(self.bn, contexts, e, self.k, self.iters)
-        self._bounds = {}
-        for key, chain, own in jobs:
-            prior = self._priors[key][0]
-            joint = (0.0, 0.0)
-            if chain is not None:
-                lo_prod, hi_prod = 1.0, 1.0
-                for row, v in enumerate(chain, own - len(chain)):
-                    lo_prod *= max(0.0, float(lows[row, cells[v]][e[v]]))
-                    hi_prod *= min(1.0, float(highs[row, cells[v]][e[v]]))
-                    if hi_prod == 0.0:  # the later factors are computed and ignored
-                        break
-                # intersected with the prior-mass interval: never worse than bf
-                lo = max(0.0, lo_prod * prior)
-                hi = min(min(1.0, prior), hi_prod * prior)
-                joint = (min(lo, hi), hi)
-            self._bounds[key] = joint, lows[own, : self.width], highs[own, : self.width]
-
-    def _tables(self, partial: dict) -> PartialTupleBounds:
-        key = tuple(partial.items())
-        prior, var_prior = self._priors[key]
-        # a partial without mass is not propagated, and costs nothing
-        (jl, jh), lows, highs = self._bounds.pop(key, ((0.0, 0.0), self._zeros, self._zeros))
-        # the prior caps every value, a free cutset variable's extension
-        # priors cap its own
-        cap = np.full(self.width, prior)
-        for v, ext in var_prior.items():
-            cap[self.cells[v]] = ext
-        high = np.minimum(highs * jh, cap)
-        return PartialTupleBounds(
-            prior=prior,
-            joint=(jl, jh),
-            low=np.minimum(lows * jl, high),
-            high=high,
-            var_prior=var_prior,
-            cost=2 if prior != 0.0 else 0,
-        )
+        out = []
+        for (own, chain), (prior, var_prior) in zip(jobs, loaded):
+            jl = jh = 0.0
+            low = high = self._zeros
+            if own is not None:
+                if chain is not None:
+                    lo_prod, hi_prod = 1.0, 1.0
+                    for row, v in enumerate(chain, own - len(chain)):
+                        lo_prod *= max(0.0, float(lows[row, cells[v]][e[v]]))
+                        hi_prod *= min(1.0, float(highs[row, cells[v]][e[v]]))
+                        if hi_prod == 0.0:  # the later factors are computed and ignored
+                            break
+                    # intersected with the prior-mass interval: never worse than bf
+                    jh = min(min(1.0, prior), hi_prod * prior)
+                    jl = min(max(0.0, lo_prod * prior), jh)
+                # the prior caps every value, a free cutset variable's
+                # extension priors cap its own
+                cap = np.full(self.width, prior)
+                for v, ext in var_prior.items():
+                    cap[self.cells[v]] = ext
+                high = np.minimum(highs[own, : self.width] * jh, cap)
+                low = np.minimum(lows[own, : self.width] * jl, high)
+            out.append(PartialTupleBounds(
+                prior=prior,
+                joint=(jl, jh),
+                low=low,
+                high=high,
+                var_prior=var_prior,
+                cost=0 if own is None else 2,
+            ))
+        return out
 
 
 def make_bounder(

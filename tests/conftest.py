@@ -19,6 +19,7 @@ from beliefbounds.bounder import (
     DEFAULT_K,
     DEFAULT_MAX_ITERS,
     BlanketLp,
+    ChainPropagationBounder,
     JointBounder,
     MarginalBounds,
     PartialTupleBounds,
@@ -873,12 +874,14 @@ def prior_mass_bounds(bn: BayesianNetwork, e, a, extra=None) -> tuple[float, flo
 def chain_joint_bounds(
     bn: BayesianNetwork, e, a, extra=None, k: int = DEFAULT_K, iters: int = DEFAULT_MAX_ITERS
 ) -> tuple[float, float]:
-    """abdp's bounds on P(a ∪ extra, e) (see ``reference_chain_bounds``) for
-    an assignment given as a dict or pairs, its prior mass eliminated here."""
+    """The abdp bounder's joint interval on P(a ∪ extra, e) for an
+    assignment given as a dict or pairs, tabled as a partial tuple of its
+    own variables."""
     merged, conflict = merge_assignment({}, _as_pairs(a), extra)
     if conflict:
         return 0.0, 0.0
-    return reference_chain_bounds(bn, e, merged, float(eliminate(bn, merged)), k, iters)
+    bounder = ChainPropagationBounder(bn, e, tuple(merged), k=k, iters=iters)
+    return bounder.tuple_tables(tuple(merged.items())).joint
 
 
 def prior_mass_closed_interval(inputs, var: int, value: int):
@@ -900,7 +903,10 @@ class ExactBounder(JointBounder):
 
     name = "exact"
 
-    def _tables(self, partial):
+    def _tables(self, fresh, loaded):
+        return [self._exact(dict(partial)) for partial in fresh]
+
+    def _exact(self, partial: dict) -> PartialTupleBounds:
         assigned = dict(self.e)
         assigned.update(partial)
         prior = brute_event_mass(self.bn, partial) if partial else 1.0

@@ -550,17 +550,25 @@ class TestBounderPlugins:
         ]
         return bn, e, cut, active, partials
 
-    def test_abdp_tables_of_many_partials_equal_the_per_partial_reference(self, rng):
+    def test_abdp_tables_of_many_partials_equal_the_per_partial_reference(self, rng, monkeypatch):
         # one lock-step propagation over every partial's contexts gives each
-        # partial the tables that one propagation per context gives it; the
-        # planted zeros give some partials no mass, and a repeated key is
-        # tabled once
+        # partial the tables that one propagation per context gives it, in
+        # one chunk of contexts or in chunks of 2 that split a partial's
+        # contexts; the planted zeros give some partials no mass, and a
+        # repeated key is tabled once
         for _ in range(6):
             bn, e, cut, _, partials = self._partials(rng, h=3)
             partials += [((cut.vars[0], 0),), ()] + partials[:1]
+            whole, _ = ChainPropagationBounder(bn, e, cut.vars, iters=6).tables_for(partials)
+            monkeypatch.setattr(bounder_mod, "PROPAGATE_CHUNK", 2)
             bounder = ChainPropagationBounder(bn, e, cut.vars, iters=6)
             tabs, _ = bounder.tables_for(partials)
+            monkeypatch.undo()
             assert bounder.invocations == sum(t.cost for t in {id(t): t for t in tabs}.values())
+            for one, tab in zip(whole, tabs):
+                assert one.joint == tab.joint
+                assert one.low.tolist() == tab.low.tolist()
+                assert one.high.tolist() == tab.high.tolist()
             for partial, tab in zip(partials, tabs):
                 if tab.prior == 0.0:
                     assert tab.cost == 0 and tab.joint == (0.0, 0.0)

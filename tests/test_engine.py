@@ -211,16 +211,19 @@ class TestDegenerateAndClamps:
         class StubBounder(JointBounder):
             name = "stub"
 
-            def _tables(self, partial):
+            def _tables(self, fresh, loaded):
                 big = np.full(self.width, 5.0)
-                return PartialTupleBounds(
-                    prior=1.0,
-                    joint=(0.0, 0.1),
-                    low=big,
-                    high=big,
-                    var_prior={},
-                    cost=1,
-                )
+                return [
+                    PartialTupleBounds(
+                        prior=1.0,
+                        joint=(0.0, 0.1),
+                        low=big,
+                        high=big,
+                        var_prior={},
+                        cost=1,
+                    )
+                    for _ in fresh
+                ]
 
         bn = _diamond()
         e = {}
@@ -240,15 +243,18 @@ class _CrossingBounder(JointBounder):
 
     name = "crossing"
 
-    def _tables(self, partial):
-        return PartialTupleBounds(
-            prior=1.0,
-            joint=(0.9, 0.95),
-            low=np.full(self.width, 0.4),
-            high=np.zeros(self.width),
-            var_prior={},
-            cost=1,
-        )
+    def _tables(self, fresh, loaded):
+        return [
+            PartialTupleBounds(
+                prior=1.0,
+                joint=(0.9, 0.95),
+                low=np.full(self.width, 0.4),
+                high=np.zeros(self.width),
+                var_prior={},
+                cost=1,
+            )
+            for _ in fresh
+        ]
 
 
 class TestCrossedIntervals:
@@ -520,13 +526,15 @@ def _assert_terms_match_reference(inputs):
 class _JunkPinnedBounder(PriorMassBounder):
     """bf with 7.0 in every cell of the variables a partial pins."""
 
-    def _tables(self, partial):
-        tab = super()._tables(partial)
-        low, high = tab.low.copy(), tab.high.copy()
-        for v in partial:
-            if v in self.cells:
-                low[self.cells[v]] = high[self.cells[v]] = 7.0
-        return dataclasses.replace(tab, low=low, high=high)
+    def _tables(self, fresh, loaded):
+        out = []
+        for partial, tab in zip(fresh, super()._tables(fresh, loaded)):
+            low, high = tab.low.copy(), tab.high.copy()
+            for v, _ in partial:
+                if v in self.cells:
+                    low[self.cells[v]] = high[self.cells[v]] = 7.0
+            out.append(dataclasses.replace(tab, low=low, high=high))
+        return out
 
 
 class TestAssembly:
