@@ -384,10 +384,55 @@ def _plan_for(
     return plan
 
 
+class _Bound(NamedTuple):
+    """A plan bound to its value columns: each row of values gives the
+    assigned variables' values, then the indicated ones'."""
+    plan: _Plan
+    columns: tuple[int, ...]
+    chunk: int  # rows an execution takes: its every array stays within the cap
+
+
+def _bind(bn: BayesianNetwork, sliced, wanted, cap, indicated=(), n=1) -> _Bound:
+    """The cached plan for ``sliced`` (sorted) assigned variables and
+    ``indicated`` (sorted) ones; with indicated variables, a plan whose work
+    over ``n`` rows would pass ``INDICATED_WORK_CAP`` raises."""
+    row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
+    plan = _plan_for(bn, sliced, cap, wanted, indicated, row_cap)
+    return _Bound(plan, sliced + indicated, max(1, cap // plan.span))
+
+
+def _value_rows(columns, n: int) -> np.ndarray:
+    """``n`` rows of integer values, a column per entry of ``columns`` (an
+    int, or an array of ``n``)."""
+    if columns and np.result_type(*columns).kind not in "iu":
+        raise ValueError("assigned values must be integers")
+    values = np.empty((n, len(columns)), dtype=np.intp)
+    for j, x in enumerate(columns):
+        values[:, j] = x
+    return values
+
+
+def _apply(bound: _Bound, values: np.ndarray):
+    """(total, beliefs) of the bound plan, one row per row of ``values``,
+    in chunks of ``bound.chunk`` rows; a value out of range raises."""
+    plan = bound.plan
+    bad = (values < plan.bounds[0]) | (values >= plan.bounds[1])
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        v, (least, card) = bound.columns[j], plan.bounds[:, j]
+        raise ValueError(f"indicated variable {v} needs values, -1 where it is free"
+                         if least < 0 else f"variable {v} takes values 0..{card - 1}")
+    chunk = bound.chunk
+    if len(values) <= chunk:
+        return _execute(plan, values)
+    parts = [_execute(plan, values[i:i + chunk]) for i in range(0, len(values), chunk)]
+    total = np.concatenate([out for out, _ in parts])
+    return total, {v: np.concatenate([b[v] for _, b in parts]) for v in parts[0][1]}
+
+
 def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
-    """(total, beliefs) of one plan over the assignments, in chunks whose
-    every array stays within the table cap; with indicated variables, the
-    plan's work over all rows stays within ``INDICATED_WORK_CAP``."""
+    """(total, beliefs) of one plan over the assignments: ``_bind``, then
+    ``_apply`` to a row per assignment."""
     assign = dict(assignments)
     indicated = tuple(sorted(set(indicated)))
     batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
@@ -396,28 +441,10 @@ def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
         raise ValueError(f"batched values must be 1-D arrays of one length, got {lengths}")
     n = lengths.pop()[0] if lengths else 0
     sliced = tuple(sorted(v for v in assign if v not in indicated))
-    row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
-    plan = _plan_for(bn, sliced, cap, wanted, indicated, row_cap)
-    # one row per assignment, one column per assigned then indicated variable
-    # (an indicated one left out is out of range)
+    bound = _bind(bn, sliced, wanted, cap, indicated, n)
+    # an indicated variable left out is out of range
     columns = [assign[v] for v in sliced] + [assign.get(v, bn.cards[v]) for v in indicated]
-    if columns and np.result_type(*columns).kind not in "iu":
-        raise ValueError("assigned values must be integers")
-    values = np.empty((n if batched else 1, len(columns)), dtype=np.intp)
-    for j, x in enumerate(columns):
-        values[:, j] = x
-    bad = (values < plan.bounds[0]) | (values >= plan.bounds[1])
-    if bad.any():
-        v = (sliced + indicated)[int(bad.any(axis=0).argmax())]
-        raise ValueError(f"indicated variable {v} needs values, -1 where it is free"
-                         if v in indicated else f"variable {v} takes values 0..{bn.cards[v] - 1}")
-    chunk = max(1, cap // plan.span)
-    if len(values) <= chunk:
-        total, beliefs = _execute(plan, values)
-    else:
-        parts = [_execute(plan, values[i:i + chunk]) for i in range(0, len(values), chunk)]
-        total = np.concatenate([out for out, _ in parts])
-        beliefs = {v: np.concatenate([b[v] for _, b in parts]) for v in wanted}
+    total, beliefs = _apply(bound, _value_rows(columns, n if batched else 1))
     if batched:
         return total, beliefs
     return total.reshape(()), {v: b[0] for v, b in beliefs.items()}

@@ -31,6 +31,9 @@ def contract_bucket(tables, gathers, n_out: int, n_sum: int, out=None) -> np.nda
         prod = np.multiply(prod, part, out=prod if prod.ndim >= part.ndim else None)
     if n_sum == 1:
         return np.positive(prod, out=out)
+    if n_sum == 2:  # the reduce's floats: one addition, and 0.0 for -0.0 + -0.0
+        pair = np.add(prod[..., 0::2], prod[..., 1::2], out=out)
+        return np.add(pair, 0.0, out=pair)
     return prod.reshape(prod.shape[:-1] + (n_out, n_sum)).sum(-1, out=out)
 
 

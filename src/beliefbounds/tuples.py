@@ -6,22 +6,33 @@ remainder is organized by the truncated search tree: walking the value trie
 of the active tuples, every branch that leaves the active paths becomes one
 partially-instantiated tuple, so actives and partials partition the space.
 
-When the cutset space is too large to rank, a seeded Gibbs chain over the
-cutset picks the active tuples. Whenever the chain needs a tuple it has not
-evaluated, one batched elimination gives the current state and every unseen
-tuple one coordinate away from it, so a sweep costs about one elimination
-per change of state rather than one per newly visited tuple.
+Selection binds one elimination plan for P(c, e) per call and then sends
+it value rows only, one per cutset tuple. When the cutset space is too
+large to rank, a seeded Gibbs chain over the cutset picks the active tuples.
+Whenever the chain needs a tuple it has not evaluated, one batch gives the
+current state and every unseen tuple one coordinate away from it, so a
+sweep costs about one plan execution per change of state rather than one
+per newly visited tuple. The chain draws its uniforms from one pre-drawn
+stream and samples each conditional in Python floats with the float
+operations of ``Generator.choice``, so it picks what a chain of scalar
+draws would.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# the benchmark's tracer wraps tuples.bucket_eliminate_pe, so the name stays
-from .exact import bucket_eliminate_pe  # noqa: F401
-from .exact import eliminate
+from . import exact
+
+# the benchmark's tracer wraps tuples.eliminate and tuples.bucket_eliminate_pe,
+# so the names stay
+from .exact import bucket_eliminate_pe, eliminate  # noqa: F401
 from .graphs import Cutset
 from .model import BayesianNetwork, Evidence, assignment_tuples
 
@@ -78,18 +89,19 @@ def select_tuples_gibbs(
 ) -> ActiveTupleSet:
     """Pick h distinct cutset tuples aiming for the highest P(c, e) mass.
 
-    When the cutset space M is at most ``EXHAUSTIVE_CAP`` the selection is
-    exhaustive: one batched elimination gives every tuple's mass, exactly as
-    the chain would evaluate it, and the true top-h by P(c,e) is taken, ties
-    broken lexicographically (nested prefixes across h come for free).
-    Otherwise a single seeded Gibbs chain over the cutset explores tuples;
-    every distinct visited tuple is a candidate, the unseen one-coordinate
-    neighbours of a state are evaluated in one batched elimination, revisits
-    cost nothing, zero-probability tuples are admitted only when fewer than
-    h positive-mass tuples were seen, and the set is padded deterministically
-    (one tuple per elimination) if the chain found fewer than h distinct
-    tuples. ``sweeps < 0`` raises ``ValueError``; so does a cutset that does
-    not fit the network (see ``Cutset.with_cards``).
+    Every mass comes from one elimination plan, bound once per call, that
+    sums P(c, e) over a batch of tuples. When the cutset space M is at most
+    ``EXHAUSTIVE_CAP`` the selection is exhaustive: one batch gives every
+    tuple's mass and the true top-h by P(c,e) is taken, ties broken
+    lexicographically (nested prefixes across h come for free). Otherwise a
+    single seeded Gibbs chain over the cutset explores tuples; every
+    distinct visited tuple is a candidate, the unseen one-coordinate
+    neighbours of a state are evaluated in one batch, revisits cost
+    nothing, zero-probability tuples are admitted only when fewer than h
+    positive-mass tuples were seen, and the set is padded deterministically
+    (one tuple per batch) if the chain found fewer than h distinct tuples.
+    ``sweeps < 0`` raises ``ValueError``; so does a cutset that does not fit
+    the network (see ``Cutset.with_cards``).
     """
     if sweeps < 0:
         raise ValueError(f"sweeps must be at least 0, got {sweeps}")
@@ -102,19 +114,44 @@ def select_tuples_gibbs(
     if h == 0:
         return ActiveTupleSet(cutset=c, tuples=(), pe=np.array([], dtype=np.float64))
 
+    masses = _mass_function(bn, e, c)
     if m <= EXHAUSTIVE_CAP:
-        masses = _tuple_masses(bn, e, c, list(assignment_tuples(c.cards)))
-        ranked = sorted(masses.items(), key=lambda kv: (-kv[1], kv[0]))[:h]
-        pe = np.array([p for _, p in ranked], dtype=np.float64)
-        return ActiveTupleSet(cutset=c, tuples=tuple(t for t, _ in ranked), pe=pe)
+        rows = np.indices(c.cards).reshape(c.size, m).T  # lexicographic order
+        pe = masses(rows)
+        top = np.argsort(-pe, kind="stable")[:h]  # ties stay lexicographic
+        return ActiveTupleSet(cutset=c, tuples=tuple(map(tuple, rows[top].tolist())), pe=pe[top])
 
-    return _gibbs_select(bn, e, c, h, sweeps, seed)
+    return _gibbs_select(bn, e, c, h, sweeps, seed, masses)
 
 
-def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
+def _mass_function(bn, e, c):
+    """P(c, e) of each row of a rows x |c| array of full cutset tuples,
+    from one plan bound here: the evidence columns are fixed in a template
+    row. The cutset's own values replace evidence on shared variables; a
+    tuple that contradicts that evidence has mass 0."""
+    bound = exact._bind(bn, tuple(sorted(set(e) | set(c.vars))), (), exact.DEFAULT_TABLE_CAP)
+    template = exact._value_rows([e.get(v, 0) for v in bound.columns], 1)
+    at = [bound.columns.index(v) for v in c.vars]
+    shared = [(k, e[v]) for k, v in enumerate(c.vars) if v in e]
+
+    def masses(rows: np.ndarray) -> np.ndarray:
+        values = template.repeat(len(rows), axis=0)
+        values[:, at] = rows
+        out = exact._apply(bound, values)[0]
+        for k, x in shared:
+            out[rows[:, k] != x] = 0.0
+        return out
+
+    return masses
+
+
+def _gibbs_select(bn, e, c, h, sweeps, seed, masses) -> ActiveTupleSet:
     rng = np.random.default_rng(seed)
     visited: dict[tuple[int, ...], float] = {}
     known: dict[tuple[int, ...], float] = {}  # evaluated, visited or not
+    # every (coordinate, value) pair: a state's one-coordinate moves
+    coord = np.repeat(np.arange(c.size), c.cards)
+    value = np.concatenate([np.arange(d) for d in c.cards])
 
     def mass(tup, around) -> float:
         p = visited.get(tup)
@@ -122,29 +159,33 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
             if tup not in known:
                 # every value a sweep tries lies one coordinate away from
                 # the chain's state: evaluate all those not yet seen at once
-                near = [around] + [
-                    around[:k] + (val,) + around[k + 1:]
-                    for k in range(c.size) for val in range(c.cards[k]) if val != around[k]
-                ]
-                known.update(_tuple_masses(bn, e, c, [t for t in near if t not in known]))
+                base = np.array(around, dtype=np.intp)
+                moves = value != base[coord]
+                near = base[None].repeat(1 + int(moves.sum()), axis=0)
+                near[np.arange(1, len(near)), coord[moves]] = value[moves]
+                tups = list(map(tuple, near.tolist()))
+                fresh = [i for i, t in enumerate(tups) if t not in known]
+                known.update(zip([tups[i] for i in fresh], masses(near[fresh]).tolist()))
             p = visited[tup] = known[tup]
         return p
 
     state = list(_forward_sample_cutset(bn, e, c, rng))
+    # the chain's draws, in stream order: a coordinate whose conditional is
+    # all zero draws nothing
+    uniforms = _uniforms(rng, sweeps * c.size)
     mass(tuple(state), tuple(state))
     for _ in range(sweeps):
         for k in range(c.size):
-            current = state[k]
             around = tuple(state)
-            probs = np.empty(c.cards[k])
+            probs = []
             for val in range(c.cards[k]):
                 state[k] = val
-                probs[val] = mass(tuple(state), around)
-            total = probs.sum()
-            if total > 0.0:
-                state[k] = _draw(rng, probs / total)
-            else:  # all-zero conditional: keep the current value
-                state[k] = current
+                probs.append(mass(tuple(state), around))
+            cdf = _cdf(probs)
+            if cdf is None:  # all-zero conditional: keep the current value
+                state[k] = around[k]
+            else:  # _draw's searchsorted
+                state[k] = bisect.bisect_right(cdf, next(uniforms))
             mass(tuple(state), around)
 
     ranked = sorted(visited.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -156,27 +197,31 @@ def _gibbs_select(bn, e, c, h, sweeps, seed) -> ActiveTupleSet:
                 break
             if tup not in have:
                 if tup not in known:
-                    known.update(_tuple_masses(bn, e, c, [tup]))
+                    known[tup] = masses(np.array([tup], dtype=np.intp))[0].item()
                 chosen.append(tup)
                 have.add(tup)
     pe = np.array([known[t] for t in chosen], dtype=np.float64)
     return ActiveTupleSet(cutset=c, tuples=tuple(chosen), pe=pe)
 
 
-def _tuple_masses(bn, e, c, tups) -> dict[tuple[int, ...], float]:
-    """P(c, e) of each full cutset tuple, from one batched elimination.
+def _cdf(probs: list[float]) -> list[float] | None:
+    """The cdf ``_draw`` makes of ``probs / probs.sum()``, with the same
+    float operations in Python floats; None where no weight is positive."""
+    if len(probs) < 8:  # np.sum's floats: it sums pairwise from 8 terms on
+        total = functools.reduce(operator.add, probs)
+    else:
+        total = float(np.sum(probs))
+    if not total > 0.0:
+        return None
+    cdf = list(itertools.accumulate([p / total for p in probs]))
+    return [x / cdf[-1] for x in cdf]
 
-    The cutset's own values replace evidence on shared variables; a tuple
-    that contradicts that evidence has mass 0.
-    """
-    columns = np.array(tups, dtype=np.int64).reshape(len(tups), c.size).T
-    assigned = {v: x for v, x in e.items() if v not in c.vars}
-    assigned.update(zip(c.vars, columns))
-    out = eliminate(bn, assigned).reshape(len(tups))
-    for k, v in enumerate(c.vars):
-        if v in e:
-            out[columns[k] != e[v]] = 0.0
-    return dict(zip(tups, out.tolist()))
+
+def _uniforms(rng: np.random.Generator, n: int):
+    """``rng.random()`` n times over: the same doubles, drawn up to 4096 at
+    a time, so that no number of sweeps holds more."""
+    for top in range(0, n, 4096):
+        yield from rng.random(min(4096, n - top)).tolist()
 
 
 def _draw(rng: np.random.Generator, p: np.ndarray) -> int:

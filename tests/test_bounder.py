@@ -16,6 +16,7 @@ from beliefbounds.bounder import (
     PriorMassBounder,
     _blanket_bounds,
     _boundary_structure,
+    _markov_boundary,
     _plan,
     _propagate,
     make_bounder,
@@ -259,7 +260,8 @@ class TestPropagation:
                 if x not in ctx:
                     kept = set(ctx) | ancestors_of(bn, set(ctx))
                     kids[c] = tuple(u for u in bn.children[x] if u in kept)
-                    structs[c] = _boundary_structure(bn, x, kids[c], ctx, 256)
+                    boundary = _markov_boundary(bn, x, kids[c])
+                    structs[c] = _boundary_structure(bn, x, kids[c], boundary, ctx, 256)
             rows = [c for c, st in structs.items() if st]
             if not rows:
                 continue

@@ -302,6 +302,32 @@ class TestDraw:
         assert tuples_mod._draw(mine, p) == int(theirs.choice(len(p), p=p))
         assert mine.random() == theirs.random()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(
+            st.sampled_from([0.0, 1e-300, 0.1, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_cdf_is_numpys(self, weights):
+        # the chain's cdf in Python floats is the one _draw makes in numpy,
+        # bit for bit, pairwise-summed totals of 8 or more weights included
+        p = np.array(weights)
+        total = p.sum()
+        got = tuples_mod._cdf(weights)
+        if not total > 0.0:
+            assert got is None
+            return
+        want = (p / total).cumsum()
+        want /= want[-1]
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_uniforms_are_the_scalar_stream(self):
+        # across the 4096-double blocks, and the stream goes on alike
+        mine, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        assert list(tuples_mod._uniforms(mine, 9000)) == [theirs.random() for _ in range(9000)]
+        assert mine.random() == theirs.random()
+
 
 class TestBatchedChain:
     """The chain evaluates a state's unseen one-coordinate neighbours in one
@@ -341,6 +367,28 @@ class TestBatchedChain:
             assert got.tuples == want.tuples
             assert got.pe.tobytes() == want.pe.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sweeps=st.integers(1, 3), shared=st.booleans())
+    def test_high_cardinality_equals_the_scalar_reference(self, seed, sweeps, shared):
+        # a cutset variable of 9 to 12 values: np.sum adds its conditional
+        # pairwise, not left to right
+        rng = np.random.default_rng(seed)
+        bn = random_network(rng, n=4, max_card=12, max_parents=2, zero_rows=True)
+        while not 9 <= max(bn.cards) <= 12:
+            bn = random_network(rng, n=4, max_card=12, max_parents=2, zero_rows=True)
+        wide = bn.cards.index(max(bn.cards))
+        e = random_evidence(rng, bn)
+        if not shared:
+            e.pop(wide, None)
+        others = [v for v in range(bn.n) if v != wide]
+        cvars = [wide] + [int(v) for v in rng.choice(others, size=2, replace=False)]
+        cut = Cutset(vars=tuple(cvars)).with_cards(bn)
+        h = int(rng.integers(1, 9))
+        got = select_by_chain(bn, e, cut, h, sweeps=sweeps, seed=seed)
+        want = reference_gibbs_select(bn, e, cut, h, sweeps, seed)
+        assert got.tuples == want.tuples
+        assert got.pe.tobytes() == want.pe.tobytes()
+
     @pytest.mark.parametrize("sweeps, h, padded", [(3, 4, 0), (0, 5, 4)])
     @pytest.mark.parametrize("seed", [1, 2, 4])
     def test_one_elimination_per_state_change(self, monkeypatch, sweeps, h, padded, seed):
@@ -348,12 +396,13 @@ class TestBatchedChain:
         e = {24: 1, 12: 0}
         cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
         assert cut.size >= 4 and cut.n_tuples > 5
+        # every evaluation, batched or not, applies a bound plan
         calls = []
-        run = exact_mod._run
-        monkeypatch.setattr(exact_mod, "_run", lambda *a: calls.append(1) or run(*a))
+        apply = exact_mod._apply
+        monkeypatch.setattr(exact_mod, "_apply", lambda *a: calls.append(1) or apply(*a))
         active = select_by_chain(bn, e, cut, h, sweeps=sweeps, seed=seed)
         assert active.h == h
-        assert len(calls) <= _state_changes(bn, e, cut, sweeps, seed) + 2 + padded
+        assert 1 <= len(calls) <= _state_changes(bn, e, cut, sweeps, seed) + 2 + padded
 
     @pytest.mark.parametrize("cap", [0, 4096])  # the sampling and the exhaustive branch
     def test_h_zero_eliminates_nothing(self, monkeypatch, cap):
@@ -362,8 +411,8 @@ class TestBatchedChain:
         cut = find_loop_cutset(bn, exclude=frozenset(e)).with_cards(bn)
         assert cut.n_tuples <= 4096
         calls = []
-        run = exact_mod._run
-        monkeypatch.setattr(exact_mod, "_run", lambda *a: calls.append(1) or run(*a))
+        apply = exact_mod._apply
+        monkeypatch.setattr(exact_mod, "_apply", lambda *a: calls.append(1) or apply(*a))
         monkeypatch.setattr(tuples_mod, "EXHAUSTIVE_CAP", cap)
         active = select_tuples_gibbs(bn, e, cut, 0)
         assert calls == []
