@@ -159,18 +159,11 @@ _SENSE = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
 _NONE = np.array([-np.inf, np.inf]).reshape(2, 1, 1)
 
 
-def _markov_boundary(bn: BayesianNetwork, x: int, kids: tuple[int, ...]) -> tuple[int, ...]:
-    """x's parents, ``kids`` and their parents but x, in id order."""
-    return tuple(sorted(set(bn.parents(x)).union(kids, *(bn.parents(c) for c in kids)) - {x}))
-
-
-def _boundary_structure(bn: BayesianNetwork, x: int, kids, boundary, e: Evidence, k: int):
-    """x's greedy LP tables as arrays, over ``boundary``, the
-    ``_markov_boundary`` of x and ``kids``: ``()`` when the full boundary
-    domain exceeds ``k`` (x is skipped), else (members, fallback, best,
-    order): the unobserved boundary variables in id order;
-    ``fallback[sense, value]``, the coefficient extremes (sense 0 the min,
-    1 the max);
+def _boundary_structure(bn: BayesianNetwork, x: int, kids: tuple[int, ...], e: Evidence, k: int):
+    """x's greedy LP tables as arrays: ``()`` when the full boundary domain
+    exceeds ``k`` (x is skipped), else (members, fallback, best, order):
+    the unobserved boundary variables in id order; ``fallback[sense, value]``,
+    the coefficient extremes (sense 0 the min, 1 the max);
     ``best[sense, value, member, group]``, the extreme coefficient among the
     configurations giving the member that value, padded with infinities
     past a member's card; each member's groups in stable pouring order.
@@ -179,14 +172,15 @@ def _boundary_structure(bn: BayesianNetwork, x: int, kids, boundary, e: Evidence
     members, so the cache key holds only those: chain steps and partial
     tuples that differ elsewhere share the entry.
     """
-    observed = tuple((v, e[v]) for v in boundary if v in e)
+    boundary = set(bn.parents(x)).union(kids, *(bn.parents(c) for c in kids)) - {x}
+    observed = tuple((v, e[v]) for v in sorted(boundary) if v in e)
     key = ("bdp-var", x, kids, observed, k)
     hit = bn._cache.get(key)
     if hit is not None:
         return hit
     out: tuple = ()
     if math.prod(bn.cards[v] for v in boundary) <= k:
-        unobs = tuple(v for v in boundary if v not in e)
+        unobs = tuple(sorted(boundary - set(e)))
         grid = _blanket_coeffs(bn, x, kids, e, unobs)
         cards = grid.shape[:-1]
         # every configuration exists, so no group is empty, and a member's
@@ -286,7 +280,6 @@ def _propagate(bn: BayesianNetwork, contexts: list, base: Evidence, k: int, max_
         width += bn.cards[v]
     lows, highs = np.zeros((len(contexts), width)), np.ones((len(contexts), width))
     sweeps = []  # per context, {x: structure} of its unobserved variables
-    boundaries: dict = {}  # (x, kids): x's Markov boundary, shared by contexts
     for c, ctx in enumerate(contexts):
         for v, val in ctx.items():  # observed: the indicator
             highs[c, cells[v]] = 0.0
@@ -294,14 +287,10 @@ def _propagate(bn: BayesianNetwork, contexts: list, base: Evidence, k: int, max_
         # barren-descendant pruning: a child stays in x's relevant
         # subnetwork when it is observed or has an observed descendant
         kept = set(ctx) | ancestors_of(bn, set(ctx))
-        sweep = {}
-        for v in range(bn.n):
-            if v not in ctx:
-                kids = tuple(u for u in bn.children[v] if u in kept)
-                if (v, kids) not in boundaries:
-                    boundaries[v, kids] = _markov_boundary(bn, v, kids)
-                sweep[v] = _boundary_structure(bn, v, kids, boundaries[v, kids], ctx, k)
-        sweeps.append(sweep)
+        sweeps.append({
+            v: _boundary_structure(bn, v, tuple(u for u in bn.children[v] if u in kept), ctx, k)
+            for v in range(bn.n) if v not in ctx
+        })
     flat_lo, flat_hi = lows.reshape(-1), highs.reshape(-1)
     iterations = np.zeros(len(contexts), dtype=np.int64)
     live = np.ones(len(contexts), dtype=bool)

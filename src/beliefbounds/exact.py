@@ -12,7 +12,9 @@ ancestors: every other variable is barren (its bucket sums to
 one), so the elimination covers the ancestral part of the network alone.
 Assigned values may also be equal-length integer arrays: one execution then
 evaluates the whole batch of assignments along a leading axis, with every
-entry equal to what the one-assignment call gives.
+entry equal to what the one-assignment call gives. ``eliminate`` also takes
+a batch already laid out as integer rows (``Rows``), as Gibbs tuple
+selection sends it, one batch a state change.
 
 ``eliminate`` sums out every variable and gives P(assignments).
 ``eliminate_marginals`` gives P(assignments) and the table P(v, assignments)
@@ -384,6 +386,14 @@ def _plan_for(
     return plan
 
 
+class Rows(NamedTuple):
+    """A batch of assignments as integer value rows: ``values[i, j]`` is
+    the value of ``vars[j]`` in assignment i. Plans are cached by ``vars``,
+    so a caller that keeps one order reuses one plan."""
+    vars: tuple[int, ...]
+    values: np.ndarray
+
+
 class _Bound(NamedTuple):
     """A plan bound to its value columns: each row of values gives the
     assigned variables' values, then the indicated ones'."""
@@ -393,23 +403,12 @@ class _Bound(NamedTuple):
 
 
 def _bind(bn: BayesianNetwork, sliced, wanted, cap, indicated=(), n=1) -> _Bound:
-    """The cached plan for ``sliced`` (sorted) assigned variables and
-    ``indicated`` (sorted) ones; with indicated variables, a plan whose work
+    """The cached plan for ``sliced`` assigned variables and ``indicated``
+    (sorted) ones, values in that column order; with indicated variables, a plan whose work
     over ``n`` rows would pass ``INDICATED_WORK_CAP`` raises."""
     row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
     plan = _plan_for(bn, sliced, cap, wanted, indicated, row_cap)
     return _Bound(plan, sliced + indicated, max(1, cap // plan.span))
-
-
-def _value_rows(columns, n: int) -> np.ndarray:
-    """``n`` rows of integer values, a column per entry of ``columns`` (an
-    int, or an array of ``n``)."""
-    if columns and np.result_type(*columns).kind not in "iu":
-        raise ValueError("assigned values must be integers")
-    values = np.empty((n, len(columns)), dtype=np.intp)
-    for j, x in enumerate(columns):
-        values[:, j] = x
-    return values
 
 
 def _apply(bound: _Bound, values: np.ndarray):
@@ -444,7 +443,12 @@ def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
     bound = _bind(bn, sliced, wanted, cap, indicated, n)
     # an indicated variable left out is out of range
     columns = [assign[v] for v in sliced] + [assign.get(v, bn.cards[v]) for v in indicated]
-    total, beliefs = _apply(bound, _value_rows(columns, n if batched else 1))
+    if columns and np.result_type(*columns).kind not in "iu":
+        raise ValueError("assigned values must be integers")
+    values = np.empty((n if batched else 1, len(columns)), dtype=np.intp)
+    for j, x in enumerate(columns):
+        values[:, j] = x
+    total, beliefs = _apply(bound, values)
     if batched:
         return total, beliefs
     return total.reshape(()), {v: b[0] for v, b in beliefs.items()}
@@ -456,7 +460,14 @@ def eliminate(bn: BayesianNetwork, assignments) -> np.ndarray:
     ``assignments`` maps var -> value in 0..card-1, absorbed by CPT slicing
     (any other value raises ``ValueError``). Values may be ints or equal-length
     1-D integer arrays; with arrays the result has one row per assignment.
+    A ``Rows`` batch gives one result per row, without building the rows
+    from a mapping.
     """
+    if isinstance(assignments, Rows):
+        values = assignments.values
+        if values.dtype.kind not in "iu" or values.shape[1:] != (len(assignments.vars),):
+            raise ValueError("Rows values must be integers, one column per variable")
+        return _apply(_bind(bn, assignments.vars, (), DEFAULT_TABLE_CAP), values)[0]
     return _run(bn, assignments, (), DEFAULT_TABLE_CAP)[0]
 
 

@@ -6,16 +6,16 @@ remainder is organized by the truncated search tree: walking the value trie
 of the active tuples, every branch that leaves the active paths becomes one
 partially-instantiated tuple, so actives and partials partition the space.
 
-Selection binds one elimination plan for P(c, e) per call and then sends
-it value rows only, one per cutset tuple. When the cutset space is too
+Selection sends ``eliminate`` integer value rows only, one per cutset
+tuple, with the evidence fixed in a template row, so every batch of a
+selection runs one cached plan for P(c, e). When the cutset space is too
 large to rank, a seeded Gibbs chain over the cutset picks the active tuples.
 Whenever the chain needs a tuple it has not evaluated, one batch gives the
 current state and every unseen tuple one coordinate away from it, so a
 sweep costs about one plan execution per change of state rather than one
-per newly visited tuple. The chain draws its uniforms from one pre-drawn
-stream and samples each conditional in Python floats with the float
-operations of ``Generator.choice``, so it picks what a chain of scalar
-draws would.
+per newly visited tuple. The chain samples each conditional in Python
+floats with the float operations of ``Generator.choice``, so it picks what
+``Generator.choice`` would from the same stream.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact
-
-# the benchmark's tracer wraps tuples.eliminate and tuples.bucket_eliminate_pe,
-# so the names stay
-from .exact import bucket_eliminate_pe, eliminate  # noqa: F401
+# the benchmark's tracer wraps tuples.bucket_eliminate_pe, so the name stays
+from .exact import bucket_eliminate_pe  # noqa: F401
+from .exact import Rows, eliminate
 from .graphs import Cutset
 from .model import BayesianNetwork, Evidence, assignment_tuples
 
@@ -89,8 +87,8 @@ def select_tuples_gibbs(
 ) -> ActiveTupleSet:
     """Pick h distinct cutset tuples aiming for the highest P(c, e) mass.
 
-    Every mass comes from one elimination plan, bound once per call, that
-    sums P(c, e) over a batch of tuples. When the cutset space M is at most
+    Every mass comes from one ``eliminate`` call over a batch of tuples, on
+    one cached plan for P(c, e). When the cutset space M is at most
     ``EXHAUSTIVE_CAP`` the selection is exhaustive: one batch gives every
     tuple's mass and the true top-h by P(c,e) is taken, ties broken
     lexicographically (nested prefixes across h come for free). Otherwise a
@@ -125,19 +123,20 @@ def select_tuples_gibbs(
 
 
 def _mass_function(bn, e, c):
-    """P(c, e) of each row of a rows x |c| array of full cutset tuples,
-    from one plan bound here: the evidence columns are fixed in a template
-    row. The cutset's own values replace evidence on shared variables; a
-    tuple that contradicts that evidence has mass 0."""
-    bound = exact._bind(bn, tuple(sorted(set(e) | set(c.vars))), (), exact.DEFAULT_TABLE_CAP)
-    template = exact._value_rows([e.get(v, 0) for v in bound.columns], 1)
-    at = [bound.columns.index(v) for v in c.vars]
+    """P(c, e) of each row of a rows x |c| array of full cutset tuples, one
+    ``eliminate`` call a batch: every batch repeats one template row that
+    holds the evidence, so each call finds the same cached plan. The
+    cutset's own values replace evidence on shared variables; a tuple that
+    contradicts that evidence has mass 0."""
+    columns = tuple(sorted(set(e) | set(c.vars)))
+    template = np.array([[e.get(v, 0) for v in columns]], dtype=np.intp)
+    at = [columns.index(v) for v in c.vars]
     shared = [(k, e[v]) for k, v in enumerate(c.vars) if v in e]
 
     def masses(rows: np.ndarray) -> np.ndarray:
         values = template.repeat(len(rows), axis=0)
         values[:, at] = rows
-        out = exact._apply(bound, values)[0]
+        out = eliminate(bn, Rows(columns, values))
         for k, x in shared:
             out[rows[:, k] != x] = 0.0
         return out
@@ -170,9 +169,6 @@ def _gibbs_select(bn, e, c, h, sweeps, seed, masses) -> ActiveTupleSet:
         return p
 
     state = list(_forward_sample_cutset(bn, e, c, rng))
-    # the chain's draws, in stream order: a coordinate whose conditional is
-    # all zero draws nothing
-    uniforms = _uniforms(rng, sweeps * c.size)
     mass(tuple(state), tuple(state))
     for _ in range(sweeps):
         for k in range(c.size):
@@ -181,11 +177,9 @@ def _gibbs_select(bn, e, c, h, sweeps, seed, masses) -> ActiveTupleSet:
             for val in range(c.cards[k]):
                 state[k] = val
                 probs.append(mass(tuple(state), around))
-            cdf = _cdf(probs)
-            if cdf is None:  # all-zero conditional: keep the current value
-                state[k] = around[k]
-            else:  # _draw's searchsorted
-                state[k] = bisect.bisect_right(cdf, next(uniforms))
+            drawn = _draw(rng, probs)
+            # an all-zero conditional draws nothing and keeps the value
+            state[k] = around[k] if drawn is None else drawn
             mass(tuple(state), around)
 
     ranked = sorted(visited.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -204,33 +198,31 @@ def _gibbs_select(bn, e, c, h, sweeps, seed, masses) -> ActiveTupleSet:
     return ActiveTupleSet(cutset=c, tuples=tuple(chosen), pe=pe)
 
 
-def _cdf(probs: list[float]) -> list[float] | None:
-    """The cdf ``_draw`` makes of ``probs / probs.sum()``, with the same
-    float operations in Python floats; None where no weight is positive."""
-    if len(probs) < 8:  # np.sum's floats: it sums pairwise from 8 terms on
-        total = functools.reduce(operator.add, probs)
+def _cdf(weights: list[float]) -> list[float] | None:
+    """The cdf ``Generator.choice`` makes of ``p = w / w.sum()``, with the
+    same float operations in Python floats; None where no weight is
+    positive."""
+    # np.sum adds fewer than 8 terms left to right and sums pairwise from 8
+    # on. The reduce gives the short sums' floats at ~0.25 against ~3.5 µs
+    # a call: np.sum alone made a bf-warm selection (~540 draws) ~2.5 ms
+    # slower, ~17 against ~19.5 ms (2 vCPU x86_64, numpy 2.4)
+    if len(weights) < 8:
+        total = functools.reduce(operator.add, weights)
     else:
-        total = float(np.sum(probs))
+        total = float(np.sum(weights))
     if not total > 0.0:
         return None
-    cdf = list(itertools.accumulate([p / total for p in probs]))
+    cdf = list(itertools.accumulate([w / total for w in weights]))
     return [x / cdf[-1] for x in cdf]
 
 
-def _uniforms(rng: np.random.Generator, n: int):
-    """``rng.random()`` n times over: the same doubles, drawn up to 4096 at
-    a time, so that no number of sweeps holds more."""
-    for top in range(0, n, 4096):
-        yield from rng.random(min(4096, n - top)).tolist()
-
-
-def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
-    """``int(rng.choice(len(p), p=p))`` for a normalized ``p``, without its
-    argument checks: the same steps, so the same value from the same draw
-    of the random stream."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw(rng: np.random.Generator, weights: list[float]) -> int | None:
+    """``int(rng.choice(len(w), p=w / w.sum()))`` for the weights ``w``,
+    without its argument checks: the same cdf and the same draw of the
+    random stream, so the same value. None, drawing nothing, where no
+    weight is positive."""
+    cdf = _cdf(weights)
+    return None if cdf is None else bisect.bisect_right(cdf, rng.random())
 
 
 def _forward_sample_cutset(bn, e, c, rng):
@@ -241,11 +233,8 @@ def _forward_sample_cutset(bn, e, c, rng):
             sample[v] = e[v]
             continue
         row = bn.cpts[v].table[tuple(sample[p] for p in bn.parents(v))]
-        total = row.sum()
-        if total <= 0.0:
-            sample[v] = 0
-        else:
-            sample[v] = _draw(rng, row / total)
+        drawn = _draw(rng, row.tolist())
+        sample[v] = 0 if drawn is None else drawn
     return tuple(sample[v] for v in c.vars)
 
 

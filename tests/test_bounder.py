@@ -16,7 +16,6 @@ from beliefbounds.bounder import (
     PriorMassBounder,
     _blanket_bounds,
     _boundary_structure,
-    _markov_boundary,
     _plan,
     _propagate,
     make_bounder,
@@ -260,8 +259,7 @@ class TestPropagation:
                 if x not in ctx:
                     kept = set(ctx) | ancestors_of(bn, set(ctx))
                     kids[c] = tuple(u for u in bn.children[x] if u in kept)
-                    boundary = _markov_boundary(bn, x, kids[c])
-                    structs[c] = _boundary_structure(bn, x, kids[c], boundary, ctx, 256)
+                    structs[c] = _boundary_structure(bn, x, kids[c], ctx, 256)
             rows = [c for c, st in structs.items() if st]
             if not rows:
                 continue

@@ -19,6 +19,7 @@ from beliefbounds.exact import (
     eliminate,
     eliminate_marginals,
     enumerate_oracle,
+    Rows,
     _gather_maps,
     _layout,
     _plan_for,
@@ -94,6 +95,31 @@ class TestBatchedEliminate:
             one = {v: int(a[i]) for v, a in arrays.items()}
             want = eliminate(bn, {**e, **one})
             assert got[i] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([1, 2, 5]),
+        zero_rows=st.booleans(),
+    )
+    def test_value_rows_equal_the_mapping(self, seed, batch, zero_rows):
+        # the same floats whatever the column order
+        bn, e, arrays = self._case(seed, batch, zero_rows)
+        assigned = {**e, **arrays}
+        want = eliminate(bn, assigned)
+        order = [int(v) for v in np.random.default_rng(seed).permutation(sorted(assigned))]
+        values = np.array([np.broadcast_to(assigned[v], batch) for v in order]).T
+        got = eliminate(bn, Rows(tuple(order), values))
+        assert got.tobytes() == want.tobytes()
+
+    def test_value_rows_are_checked(self, rng):
+        bn = random_network(rng, n=5)
+        with pytest.raises(ValueError, match="integers, one column"):
+            eliminate(bn, Rows((0, 1), np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="integers, one column"):
+            eliminate(bn, Rows((0, 1), np.zeros((2, 3), dtype=np.intp)))
+        with pytest.raises(ValueError, match="takes values"):
+            eliminate(bn, Rows((0,), np.array([[bn.cards[0]]])))
 
     def test_chunks_within_the_cap_change_nothing(self, rng):
         for seed in range(20):
