@@ -15,7 +15,11 @@ Two implementations of the same contract:
 
 Both also produce batched per-tuple tables for the engine: one joint interval
 plus two rows, over one cell layout the bounder owns, that bound
-P(x, partial, e) for every value x of every still-free variable.
+P(x, partial, e) for every value x of every still-free variable. One prior
+pass gives both bounders each partial's prior and its cap row: P(partial)
+in every cell, and the extension prior P(partial, v=x) in the cells of a
+cutset variable v that the partial leaves free. bf's high row is the cap row
+clipped to 1; abdp's is its propagated row, capped by it.
 """
 
 from __future__ import annotations
@@ -367,17 +371,16 @@ class PartialTupleBounds:
     ``JointBounder``): ``low[cells[v]][x]``/``high[cells[v]][x]`` bound
     P(v=x, partial, e) for every variable v the partial leaves free. The
     cells of the variables the partial pins are never read. ``joint`` bounds
-    P(partial, e); ``prior`` is the exact prior mass of the partial and
-    ``var_prior[v]`` the exact prior of each one-variable cutset extension
-    (the bounders cap ``high`` with it). The engine only reads the rows, so
-    they may be read-only and shared between partials: the bf bounder's are.
+    P(partial, e); ``prior`` is the exact prior mass of the partial. Both
+    bounders cap ``high`` with the partial's cap row (see
+    ``JointBounder._load_priors``). The engine only reads the rows, so they
+    may be read-only and shared between partials: the bf bounder's are.
     """
 
     prior: float
     joint: tuple[float, float]
     low: np.ndarray
     high: np.ndarray
-    var_prior: dict[int, np.ndarray]
     cost: int
 
 
@@ -426,17 +429,21 @@ class JointBounder:
         keys = [tuple(p) for p in partials]
         fresh = list(dict.fromkeys(k for k in keys if k not in self._memo))
         rows = fresh + [tuple(zip(self.cutset_vars, t)) for t in tuples]
-        loaded = self._load_priors(rows)
-        for key, tab in zip(fresh, self._tables(fresh, loaded[: len(fresh)])):
+        priors, caps = self._load_priors(rows)
+        n = len(fresh)
+        for key, tab in zip(fresh, self._tables(fresh, priors[:n], caps[:n])):
             self._memo[key] = tab
             self.invocations += tab.cost
-        return tuple(self._memo[k] for k in keys), [prior for prior, _ in loaded[len(fresh):]]
+        return tuple(self._memo[k] for k in keys), priors[n:].tolist()
 
-    def _load_priors(self, rows) -> list[tuple[float, dict[int, np.ndarray]]]:
-        """(P(row), {free cutset var v: P(row, v=x) per x}) of every row, a
-        partial or full cutset tuple as (variable, value) pairs."""
+    def _load_priors(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(P(row) of every row, a cap row per row): each row is a partial
+        or full cutset tuple as (variable, value) pairs. A cap row lies over
+        the cell layout and holds P(row) in every cell, but P(row, v=x) in
+        the cells of a cutset variable v that the row leaves free: the exact
+        prior of each one-variable extension, which bounds P(v=x, row, e)."""
         if not rows:
-            return []
+            return np.empty(0), np.empty((0, self.width))
         pos = {v: k for k, v in enumerate(self.cutset_vars)}
         pins = np.full((len(rows), len(pos)), -1, dtype=np.int64)
         for i, pairs in enumerate(rows):
@@ -444,7 +451,7 @@ class JointBounder:
                 pins[i, pos[v]] = x
         return self._priors_of(pins)
 
-    def _priors_of(self, pins: np.ndarray) -> list[tuple[float, dict[int, np.ndarray]]]:
+    def _priors_of(self, pins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_load_priors`` of rows of cutset values, -1 where free, in one
         bucket-tree pass: the variables every row pins are sliced, the
         others that a row pins get indicator leaves. A pass that would
@@ -456,6 +463,8 @@ class JointBounder:
         cut = self.cutset_vars
         indicated = [v for k, v in enumerate(cut) if some[k] and not every[k]]
         wanted = [(k, v) for k, v in enumerate(cut) if not every[k] and v not in self.e]
+        n = len(pins)
+        priors, caps = np.empty(n), np.empty((n, self.width))
         try:
             assign = {v: pins[:, k] for k, v in enumerate(cut) if some[k]}
             total, beliefs = eliminate_marginals(self.bn, assign, [v for _, v in wanted], indicated)
@@ -464,21 +473,19 @@ class JointBounder:
                 raise
             sets, which = np.unique(pinned, axis=0, return_inverse=True)
             low = which.reshape(-1) < len(sets) // 2
-            out: list = [None] * len(pins)
             for part in (low, ~low):
-                for i, loaded in zip(np.flatnonzero(part), self._priors_of(pins[part])):
-                    out[i] = loaded
-            return out
-        n = len(pins)
-        ext = {v: np.broadcast_to(beliefs[v], (n, self.bn.cards[v])) for _, v in wanted}
-        return [
-            (prior, {v: ext[v][j] for k, v in wanted if not pinned[j, k]})
-            for j, prior in enumerate(np.broadcast_to(total, (n,)).tolist())
-        ]
+                priors[part], caps[part] = self._priors_of(pins[part])
+            return priors, caps
+        priors[:] = total
+        caps[:] = priors[:, None]
+        for k, v in wanted:
+            free = ~pinned[:, k]
+            caps[free, self.cells[v]] = np.broadcast_to(beliefs[v], (n, self.bn.cards[v]))[free]
+        return priors, caps
 
-    def _tables(self, fresh: list, loaded: list) -> list[PartialTupleBounds]:
-        """The tables of the partials ``fresh``, given their ``loaded``
-        priors."""
+    def _tables(self, fresh: list, priors: np.ndarray, caps: np.ndarray) -> list[PartialTupleBounds]:
+        """The tables of the partials ``fresh``, given their ``priors`` and
+        cap rows (see ``_load_priors``)."""
         raise NotImplementedError
 
 
@@ -488,25 +495,17 @@ class PriorMassBounder(JointBounder):
 
     name = "bf"
 
-    def _tables(self, fresh: list, loaded: list) -> list[PartialTupleBounds]:
-        out = []
-        for prior, var_prior in loaded:
-            # the tuple's own prior mass caps every value; a free cutset
-            # variable is capped by its extension priors, exact priors of
-            # (partial + {v=x})
-            high = np.full(self.width, min(prior, 1.0))
-            for v, ext in var_prior.items():
-                np.minimum(ext, 1.0, out=high[self.cells[v]])
-            high.flags.writeable = False
-            out.append(PartialTupleBounds(
-                prior=prior,
-                joint=(0.0, min(prior, 1.0)),
-                low=self._zeros,
-                high=high,
-                var_prior=var_prior,
-                cost=1,
-            ))
-        return out
+    def _tables(self, fresh: list, priors: np.ndarray, caps: np.ndarray) -> list[PartialTupleBounds]:
+        # the cap rows, clipped to 1: a row's prior mass caps every value, a
+        # free cutset variable's extension priors cap its own
+        highs = np.minimum(caps, 1.0)
+        highs.flags.writeable = False
+        return [
+            PartialTupleBounds(
+                prior=prior, joint=(0.0, min(prior, 1.0)), low=self._zeros, high=high, cost=1
+            )
+            for prior, high in zip(priors.tolist(), highs)
+        ]
 
 
 class ChainPropagationBounder(JointBounder):
@@ -524,13 +523,14 @@ class ChainPropagationBounder(JointBounder):
         self.k = k
         self.iters = iters
 
-    def _tables(self, fresh: list, loaded: list) -> list[PartialTupleBounds]:
+    def _tables(self, fresh: list, priors: np.ndarray, caps: np.ndarray) -> list[PartialTupleBounds]:
         """One lock-step propagation over the contexts of every partial with
         mass: one per evidence-chain factor, in topological order (earlier
         ones see smaller relevant subnetworks), then e ∪ partial for its
         rows. A partial without mass is not propagated, and costs nothing."""
         e, jobs, contexts = self.e, [], []
-        for key, (prior, _) in zip(fresh, loaded):
+        priors = priors.tolist()
+        for key, prior in zip(fresh, priors):
             own, chain = None, None  # no chain: the partial contradicts e
             if prior != 0.0:
                 ctx = dict(key)
@@ -544,7 +544,7 @@ class ChainPropagationBounder(JointBounder):
             jobs.append((own, chain))
         cells, lows, highs, _, _ = _propagate(self.bn, contexts, e, self.k, self.iters)
         out = []
-        for (own, chain), (prior, var_prior) in zip(jobs, loaded):
+        for (own, chain), prior, cap in zip(jobs, priors, caps):
             jl = jh = 0.0
             low = high = self._zeros
             if own is not None:
@@ -558,11 +558,7 @@ class ChainPropagationBounder(JointBounder):
                     # intersected with the prior-mass interval: never worse than bf
                     jh = min(min(1.0, prior), hi_prod * prior)
                     jl = min(max(0.0, lo_prod * prior), jh)
-                # the prior caps every value, a free cutset variable's
-                # extension priors cap its own
-                cap = np.full(self.width, prior)
-                for v, ext in var_prior.items():
-                    cap[self.cells[v]] = ext
+                # the cap row: never above bf's high
                 high = np.minimum(highs[own, : self.width] * jh, cap)
                 low = np.minimum(lows[own, : self.width] * jl, high)
             out.append(PartialTupleBounds(
@@ -570,7 +566,6 @@ class ChainPropagationBounder(JointBounder):
                 joint=(jl, jh),
                 low=low,
                 high=high,
-                var_prior=var_prior,
                 cost=0 if own is None else 2,
             ))
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 from .harness import ExperimentConfig, run_experiment
 
@@ -35,25 +36,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> ExperimentConfig:
-    sweep = None
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     if args.sweep_h:
-        sweep = tuple(int(tok) for tok in args.sweep_h.split(",") if tok.strip())
-    return ExperimentConfig(
-        network=args.network,
-        evidence=args.evidence,
-        cutset=args.cutset,
-        w=args.w,
-        h=args.h,
-        sweep_h=sweep,
-        plugin=args.plugin,
-        k=args.k,
-        sweeps=args.sweeps,
-        iters=args.iters,
-        seed=args.seed,
-        out_json=args.out_json,
-        out_csv=args.out_csv,
-        oracle=args.oracle,
-    )
+        given["sweep_h"] = tuple(int(tok) for tok in args.sweep_h.split(",") if tok.strip())
+    else:
+        given["sweep_h"] = None
+    return ExperimentConfig(**given)
 
 
 def _mean_width(marginals: dict) -> float:

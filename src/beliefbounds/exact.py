@@ -14,7 +14,9 @@ Assigned values may also be equal-length integer arrays: one execution then
 evaluates the whole batch of assignments along a leading axis, with every
 entry equal to what the one-assignment call gives. ``eliminate`` also takes
 a batch already laid out as integer rows (``Rows``), as Gibbs tuple
-selection sends it, one batch a state change.
+selection sends it, one batch a state change. Either way one step
+(``_apply``) fetches the cached plan for the rows' variables and runs it
+over the rows.
 
 ``eliminate`` sums out every variable and gives P(assignments).
 ``eliminate_marginals`` gives P(assignments) and the table P(v, assignments)
@@ -394,34 +396,22 @@ class Rows(NamedTuple):
     values: np.ndarray
 
 
-class _Bound(NamedTuple):
-    """A plan bound to its value columns: each row of values gives the
-    assigned variables' values, then the indicated ones'."""
-    plan: _Plan
-    columns: tuple[int, ...]
-    chunk: int  # rows an execution takes: its every array stays within the cap
-
-
-def _bind(bn: BayesianNetwork, sliced, wanted, cap, indicated=(), n=1) -> _Bound:
-    """The cached plan for ``sliced`` assigned variables and ``indicated``
-    (sorted) ones, values in that column order; with indicated variables, a plan whose work
-    over ``n`` rows would pass ``INDICATED_WORK_CAP`` raises."""
-    row_cap = INDICATED_WORK_CAP // max(n, 1) if indicated else None
-    plan = _plan_for(bn, sliced, cap, wanted, indicated, row_cap)
-    return _Bound(plan, sliced + indicated, max(1, cap // plan.span))
-
-
-def _apply(bound: _Bound, values: np.ndarray):
-    """(total, beliefs) of the bound plan, one row per row of ``values``,
-    in chunks of ``bound.chunk`` rows; a value out of range raises."""
-    plan = bound.plan
+def _apply(bn: BayesianNetwork, columns, values: np.ndarray, wanted, cap, indicated=()):
+    """(total, beliefs) of the cached plan for the assigned variables
+    ``columns`` and the ``indicated`` (sorted) ones, one row per row of
+    ``values``: each row gives the values of ``columns``, then of
+    ``indicated``. It runs in chunks of rows whose every array stays within
+    ``cap``. A value out of range raises, and with indicated variables so
+    does a plan whose work over all rows would pass ``INDICATED_WORK_CAP``."""
+    row_cap = INDICATED_WORK_CAP // max(len(values), 1) if indicated else None
+    plan = _plan_for(bn, columns, cap, wanted, indicated, row_cap)
     bad = (values < plan.bounds[0]) | (values >= plan.bounds[1])
     if bad.any():
         j = int(bad.any(axis=0).argmax())
-        v, (least, card) = bound.columns[j], plan.bounds[:, j]
+        v, (least, card) = (columns + indicated)[j], plan.bounds[:, j]
         raise ValueError(f"indicated variable {v} needs values, -1 where it is free"
                          if least < 0 else f"variable {v} takes values 0..{card - 1}")
-    chunk = bound.chunk
+    chunk = max(1, cap // plan.span)
     if len(values) <= chunk:
         return _execute(plan, values)
     parts = [_execute(plan, values[i:i + chunk]) for i in range(0, len(values), chunk)]
@@ -430,25 +420,23 @@ def _apply(bound: _Bound, values: np.ndarray):
 
 
 def _run(bn: BayesianNetwork, assignments, wanted, cap, indicated=()):
-    """(total, beliefs) of one plan over the assignments: ``_bind``, then
-    ``_apply`` to a row per assignment."""
+    """(total, beliefs) of one plan over the assignments: ``_apply`` to a
+    row per assignment."""
     assign = dict(assignments)
     indicated = tuple(sorted(set(indicated)))
     batched = [v for v, x in assign.items() if isinstance(x, np.ndarray) and x.ndim]
     lengths = {assign[v].shape for v in batched}
     if len(lengths) > 1 or any(len(shape) > 1 for shape in lengths):
         raise ValueError(f"batched values must be 1-D arrays of one length, got {lengths}")
-    n = lengths.pop()[0] if lengths else 0
     sliced = tuple(sorted(v for v in assign if v not in indicated))
-    bound = _bind(bn, sliced, wanted, cap, indicated, n)
     # an indicated variable left out is out of range
-    columns = [assign[v] for v in sliced] + [assign.get(v, bn.cards[v]) for v in indicated]
-    if columns and np.result_type(*columns).kind not in "iu":
+    given = [assign[v] for v in sliced] + [assign.get(v, bn.cards[v]) for v in indicated]
+    if given and np.result_type(*given).kind not in "iu":
         raise ValueError("assigned values must be integers")
-    values = np.empty((n if batched else 1, len(columns)), dtype=np.intp)
-    for j, x in enumerate(columns):
+    values = np.empty((lengths.pop()[0] if lengths else 1, len(given)), dtype=np.intp)
+    for j, x in enumerate(given):
         values[:, j] = x
-    total, beliefs = _apply(bound, values)
+    total, beliefs = _apply(bn, sliced, values, wanted, cap, indicated)
     if batched:
         return total, beliefs
     return total.reshape(()), {v: b[0] for v, b in beliefs.items()}
@@ -467,7 +455,7 @@ def eliminate(bn: BayesianNetwork, assignments) -> np.ndarray:
         values = assignments.values
         if values.dtype.kind not in "iu" or values.shape[1:] != (len(assignments.vars),):
             raise ValueError("Rows values must be integers, one column per variable")
-        return _apply(_bind(bn, assignments.vars, (), DEFAULT_TABLE_CAP), values)[0]
+        return _apply(bn, assignments.vars, values, (), DEFAULT_TABLE_CAP)[0]
     return _run(bn, assignments, (), DEFAULT_TABLE_CAP)[0]
 
 

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import BoundsReport, compute_report, prepare_inputs, select_and_bound
@@ -228,20 +228,12 @@ class ExperimentConfig:
     oracle: str = "auto"
 
     def echo(self) -> dict:
-        return {
-            "network": os.path.basename(self.network),
-            "evidence": os.path.basename(self.evidence) if self.evidence else None,
-            "cutset": self.cutset,
-            "w": self.w,
-            "h": self.h,
-            "sweep_h": list(self.sweep_h) if self.sweep_h else None,
-            "plugin": self.plugin,
-            "k": self.k,
-            "sweeps": self.sweeps,
-            "iters": self.iters,
-            "seed": self.seed,
-            "oracle": self.oracle,
-        }
+        """Every setting but the output paths, in field order."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("out_")}
+        out["network"] = os.path.basename(self.network)
+        out["evidence"] = os.path.basename(self.evidence) if self.evidence else None
+        out["sweep_h"] = list(self.sweep_h) if self.sweep_h else None
+        return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -11,7 +11,8 @@ assignment is an ordered tuple of ``(variable id, value)`` pairs.
 
 from __future__ import annotations
 
-import math
+import heapq
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -91,7 +92,11 @@ class StructureCache:
         return hit[0]
 
     def put(self, key, value, nbytes: int) -> None:
-        """Keep ``value``, charged ``nbytes``, under a key that ``get`` missed."""
+        """Keep ``value``, charged ``nbytes``, under ``key``, in place of
+        what the key held before."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
         if nbytes > CACHE_BYTES:
             return
         self._entries[key] = (value, nbytes)
@@ -132,23 +137,15 @@ def _children_lists(bn: BayesianNetwork) -> tuple[tuple[int, ...], ...]:
 
 def _topological_order(bn: BayesianNetwork) -> tuple[int, ...]:
     indeg = [len(c.parents) for c in bn.cpts]
-    ready = sorted(v for v in range(bn.n) if indeg[v] == 0)
+    ready = [v for v in range(bn.n) if indeg[v] == 0]  # a heap: least first, deterministic
     order: list[int] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
         for w in bn.children[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                # keep determinism: insert sorted
-                lo, hi = 0, len(ready)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if ready[mid] < w:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                ready.insert(lo, w)
+                heapq.heappush(ready, w)
     if len(order) != bn.n:
         raise NetworkFormatError("parent structure contains a directed cycle")
     return tuple(order)
@@ -361,14 +358,4 @@ def ancestors_of(bn: BayesianNetwork, seeds: set[int]) -> set[int]:
 
 def assignment_tuples(cards: tuple[int, ...]):
     """Lexicographic enumeration of all value tuples for the given cards."""
-    if not cards:
-        yield ()
-        return
-    total = math.prod(cards)
-    for flat in range(total):
-        out = []
-        rem = flat
-        for c in reversed(cards):
-            out.append(rem % c)
-            rem //= c
-        yield tuple(reversed(out))
+    return itertools.product(*[range(c) for c in cards])

@@ -532,17 +532,14 @@ def reference_chain_bounds(bn: BayesianNetwork, e, merged: dict, prior: float, k
     return min(lo, hi), hi
 
 
-def reference_abdp_tables(bounder, partial, prior: float, var_prior: dict):
+def reference_abdp_tables(bounder, partial, prior: float, cap: np.ndarray):
     """(joint, low row, high row) of one partial of an abdp bounder, given
-    its prior and extension priors, with one ``reference_propagate`` per
-    chain factor and for e ∪ partial: what the lock-step tables must give."""
+    its prior and cap row, with one ``reference_propagate`` per chain factor
+    and for e ∪ partial: what the lock-step tables must give."""
     bn, e, k, iters = bounder.bn, bounder.e, bounder.k, bounder.iters
     merged = dict(partial)
     joint = reference_chain_bounds(bn, e, merged, prior, k, iters)
     mb = reference_propagate(bn, {**e, **merged}, k=k, max_iters=iters)
-    cap = np.full(bounder.width, prior)
-    for v, ext in var_prior.items():
-        cap[bounder.cells[v]] = ext
     lows, highs = np.empty(bounder.width), np.empty(bounder.width)
     for v, sl in bounder.cells.items():
         lows[sl], highs[sl] = mb.lows[v], mb.highs[v]
@@ -903,7 +900,7 @@ class ExactBounder(JointBounder):
 
     name = "exact"
 
-    def _tables(self, fresh, loaded):
+    def _tables(self, fresh, priors, caps):
         return [self._exact(dict(partial)) for partial in fresh]
 
     def _exact(self, partial: dict) -> PartialTupleBounds:
@@ -911,25 +908,12 @@ class ExactBounder(JointBounder):
         assigned.update(partial)
         prior = brute_event_mass(self.bn, partial) if partial else 1.0
         mass = brute_event_mass(self.bn, assigned)
-        exact, var_prior = np.zeros(self.width), {}
-        cset = set(self.cutset_vars)
+        exact = np.zeros(self.width)
         for v in self._free_vars(partial):
-            card = self.bn.cards[v]
             exact[self.cells[v]] = [
-                brute_event_mass(self.bn, {**assigned, v: x}) for x in range(card)
+                brute_event_mass(self.bn, {**assigned, v: x}) for x in range(self.bn.cards[v])
             ]
-            if v in cset:
-                var_prior[v] = np.array(
-                    [brute_event_mass(self.bn, {**partial, v: x}) for x in range(card)]
-                )
-        return PartialTupleBounds(
-            prior=prior,
-            joint=(mass, mass),
-            low=exact,
-            high=exact,
-            var_prior=var_prior,
-            cost=1,
-        )
+        return PartialTupleBounds(prior=prior, joint=(mass, mass), low=exact, high=exact, cost=1)
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,15 @@ def _marginals(mb) -> dict:
 def _tables(bounder, partial) -> dict:
     tab = bounder.tuple_tables(partial)
     cells = free_cells(bounder, partial, tab)
+    # the extension priors: the cap row's cells of the free cutset variables
+    (cap,) = bounder._load_priors([partial])[1]
+    free = sorted(set(bounder.cutset_vars) - set(dict(partial)) - set(bounder.e))
     return {
         "prior": tab.prior,
         "joint": list(tab.joint),
         "var_low": [[v, low.tolist()] for v, (low, _) in cells.items()],
         "var_high": [[v, high.tolist()] for v, (_, high) in cells.items()],
-        "var_prior": [[v, tab.var_prior[v].tolist()] for v in sorted(tab.var_prior)],
+        "var_prior": [[v, cap[bounder.cells[v]].tolist()] for v in free],
         "cost": tab.cost,
     }
 

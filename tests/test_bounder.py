@@ -459,10 +459,13 @@ class TestBounderPlugins:
         prior = brute_event_mass(bn, dict(partial))
         assert tab.prior == pytest.approx(prior, abs=1e-12)
         assert tab.joint == (0.0, pytest.approx(min(1.0, prior)))
-        for v, arr in tab.var_prior.items():
-            for val in range(bn.cards[v]):
-                want = brute_event_mass(bn, {**dict(partial), v: val})
-                assert arr[val] == pytest.approx(want, abs=1e-12)
+        # the cap row holds the extension priors in the free cutset
+        # variable's cells
+        (cap,) = b._load_priors([partial])[1]
+        free = cvars[1]
+        for val in range(bn.cards[free]):
+            want = brute_event_mass(bn, {**dict(partial), free: val})
+            assert cap[b.cells[free]][val] == pytest.approx(want, abs=1e-12)
         for v, (low, high) in free_cells(b, partial, tab).items():
             assert np.all(low == 0.0)
             truth = np.array(
@@ -564,6 +567,9 @@ class TestBounderPlugins:
             bounder = ChainPropagationBounder(bn, e, cut.vars, iters=6)
             tabs, _ = bounder.tables_for(partials)
             monkeypatch.undo()
+            # the tabling pass's cap rows: the same rows give the same floats
+            fresh = list(dict.fromkeys(partials))
+            cap_of = dict(zip(fresh, bounder._load_priors(fresh)[1]))
             assert bounder.invocations == sum(t.cost for t in {id(t): t for t in tabs}.values())
             for one, tab in zip(whole, tabs):
                 assert one.joint == tab.joint
@@ -573,16 +579,17 @@ class TestBounderPlugins:
                 if tab.prior == 0.0:
                     assert tab.cost == 0 and tab.joint == (0.0, 0.0)
                     continue
-                joint, low, high = reference_abdp_tables(bounder, partial, tab.prior, tab.var_prior)
+                joint, low, high = reference_abdp_tables(bounder, partial, tab.prior, cap_of[partial])
                 assert tab.joint == joint
                 assert tab.low.tolist() == low.tolist()
                 assert tab.high.tolist() == high.tolist()
 
     def test_batched_priors_match_exact_rationals(self, rng):
         # one indicator bucket-tree pass gives the prior of every partial of
-        # every depth and of its one-variable extensions: each is the exact
-        # rational sum to within 1e-13 relative, and a partial of no prior
-        # mass gets exactly 0.0, which abdp's zero-prior branch tests for
+        # every depth and its cap row: each cell is the exact rational sum
+        # to within 1e-13 relative, the extension prior in a free cutset
+        # variable's cells and the prior in every other. A partial of no
+        # prior mass gets exactly 0.0, which abdp's zero-prior branch tests for
         checked = zeros = 0
         while checked < 5 or not zeros:
             bn, e, cut, _, partials = self._partials(rng)
@@ -591,18 +598,20 @@ class TestBounderPlugins:
                 make_bounder(kind, bn, e, cut.vars, k=64, iters=2) for kind in ("bf", "abdp")
             ]
             tables = [b.tables_for(partials)[0] for b in bounders]
+            _, caps = bounders[0]._load_priors(partials)
             for j, partial in enumerate(partials):
                 assigned = dict(partial)
-                wanted = [v for v in cut.vars if v not in assigned and v not in e]
                 prior = fraction_event_mass(bn, assigned)
-                ext = {v: fraction_event_mass(bn, assigned, (v,)) for v in wanted}
                 zeros += prior == 0
                 for tab in (t[j] for t in tables):
                     assert abs(Fraction(tab.prior) - prior) <= Fraction(1e-13) * prior
-                    assert sorted(tab.var_prior) == wanted
-                    for v, row in tab.var_prior.items():
-                        for got, want in zip(row.tolist(), ext[v]):
-                            assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+                for v, cells in bounders[0].cells.items():
+                    if v in cut.vars and v not in assigned:
+                        want = fraction_event_mass(bn, assigned, (v,))
+                    else:
+                        want = [prior] * bn.cards[v]
+                    for got, w in zip(caps[j, cells].tolist(), want, strict=True):
+                        assert abs(Fraction(got) - w) <= Fraction(1e-13) * w
                 tab = tables[1][j]
                 if tab.prior > 0.0:
                     assert tab.joint == reference_chain_bounds(bn, e, assigned, tab.prior, 64, 2)
@@ -627,24 +636,23 @@ class TestBounderPlugins:
 
         for _ in range(4):
             bn, e, cut, active, partials = self._partials(rng, h=1, size=3)
-            one = make_bounder("bf", bn, e, cut.vars).tables_for(partials, active.tuples)
+            # the rows of tables_for(partials, active.tuples)'s prior pass
+            rows = partials + [tuple(zip(cut.vars, t)) for t in active.tuples]
+            one = make_bounder("bf", bn, e, cut.vars)._load_priors(rows)
             monkeypatch.setattr(exact_mod, "INDICATED_WORK_CAP", 0)
             monkeypatch.setattr(bounder_mod, "eliminate_marginals", counted)
             calls.clear()
-            split = make_bounder("bf", bn, e, cut.vars).tables_for(partials, active.tuples)
+            split = make_bounder("bf", bn, e, cut.vars)._load_priors(rows)
             depths = {len(p) for p in partials} | {cut.size}
             assert len(depths) >= 3  # so some half of the rows is split again
             assert [c for c in calls if not c] == [[]] * len(depths)
             monkeypatch.setattr(exact_mod, "_build_plan", building)
-            again = make_bounder("bf", bn, e, cut.vars).tables_for(partials, active.tuples)
+            again = make_bounder("bf", bn, e, cut.vars)._load_priors(rows)
             monkeypatch.undo()
-            assert built == [] and again[1] == split[1]
-            for a, b in zip(one[0], split[0]):
-                assert b.prior == pytest.approx(a.prior, rel=1e-13, abs=0.0)
-                assert sorted(a.var_prior) == sorted(b.var_prior)
-                for v, row in a.var_prior.items():
-                    np.testing.assert_allclose(b.var_prior[v], row, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(split[1], one[1], rtol=1e-13, atol=0.0)
+            assert built == [] and all(map(np.array_equal, again, split))
+            # the priors, the active tuples' among them, and the cap rows
+            for a, b in zip(one, split):
+                np.testing.assert_allclose(b, a, rtol=1e-13, atol=0.0)
 
     def test_factory(self, rng):
         bn, e, cvars = self._setting(rng)

@@ -211,7 +211,7 @@ class TestDegenerateAndClamps:
         class StubBounder(JointBounder):
             name = "stub"
 
-            def _tables(self, fresh, loaded):
+            def _tables(self, fresh, priors, caps):
                 big = np.full(self.width, 5.0)
                 return [
                     PartialTupleBounds(
@@ -219,7 +219,6 @@ class TestDegenerateAndClamps:
                         joint=(0.0, 0.1),
                         low=big,
                         high=big,
-                        var_prior={},
                         cost=1,
                     )
                     for _ in fresh
@@ -243,14 +242,13 @@ class _CrossingBounder(JointBounder):
 
     name = "crossing"
 
-    def _tables(self, fresh, loaded):
+    def _tables(self, fresh, priors, caps):
         return [
             PartialTupleBounds(
                 prior=1.0,
                 joint=(0.9, 0.95),
                 low=np.full(self.width, 0.4),
                 high=np.zeros(self.width),
-                var_prior={},
                 cost=1,
             )
             for _ in fresh
@@ -526,9 +524,9 @@ def _assert_terms_match_reference(inputs):
 class _JunkPinnedBounder(PriorMassBounder):
     """bf with 7.0 in every cell of the variables a partial pins."""
 
-    def _tables(self, fresh, loaded):
+    def _tables(self, fresh, priors, caps):
         out = []
-        for partial, tab in zip(fresh, super()._tables(fresh, loaded)):
+        for partial, tab in zip(fresh, super()._tables(fresh, priors, caps)):
             low, high = tab.low.copy(), tab.high.copy()
             for v, _ in partial:
                 if v in self.cells:

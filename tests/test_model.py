@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import beliefbounds.model as model_mod
 from beliefbounds.engine import run_engine
+from beliefbounds.exact import DEFAULT_TABLE_CAP, ScopeCapError, _plan_for
 from beliefbounds.model import (
     BayesianNetwork,
     NetworkFormatError,
     StructureCache,
     assignment_tuples,
+    held_bytes,
     parse_evidence,
     parse_network,
     validate_evidence,
@@ -215,6 +217,26 @@ class TestStructureCache:
         assert len(cache) == 3 and cache.nbytes == 300
         cache.put("huge", "H", 301)  # larger than the whole budget: not kept
         assert cache.get("huge") is None and len(cache) == 3
+
+    def test_a_key_put_again_is_charged_once(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "CACHE_BYTES", 300)
+        cache = StructureCache()
+        cache.put("a", "A", 100)
+        cache.put("b", "B", 100)
+        cache.put("a", "A2", 150)
+        assert cache.get("a") == "A2" and len(cache) == 2 and cache.nbytes == 250
+        cache.put("a", "H", 301)  # too large to keep: the old value goes as well
+        assert cache.get("a") is None and cache.nbytes == 100
+        # a layout cached as rejected (its entry count) and rebuilt as a
+        # plan under a larger work cap is charged for the plan alone
+        bn = random_network(np.random.default_rng(3), n=6)
+        monkeypatch.setattr(model_mod, "CACHE_BYTES", 2**20)
+        with pytest.raises(ScopeCapError):
+            _plan_for(bn, (0,), DEFAULT_TABLE_CAP, (), (1,), 0)
+        assert len(bn._cache) == 1
+        plan = _plan_for(bn, (0,), DEFAULT_TABLE_CAP, (), (1,), 2**30)
+        assert not isinstance(plan, int) and len(bn._cache) == 1
+        assert bn._cache.nbytes == held_bytes([a for a in plan if isinstance(a, np.ndarray)])
 
     def test_bytes_stay_within_the_budget_over_many_evidence_sets(self, monkeypatch):
         """200 evidence sets on one network through both plug-ins, with a
